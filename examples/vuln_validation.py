@@ -28,7 +28,8 @@ from repro.compiler.passes.rmt_selective import (
     SelectiveOptions,
     SelectiveRmtPass,
 )
-from repro.faults import draw_plans, execute_trial, validate_predictions
+from repro.faults import (
+    draw_plans, execute_trial, golden_run, validate_predictions)
 from repro.kernels.suite import make_benchmark
 from repro.runtime import Session
 
@@ -36,14 +37,14 @@ STOCK_VARIANTS = ("intra+lds", "intra-lds", "inter")
 FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
 
-def fault_stats(bench, compiled, trials, seed, max_instr, cycle_budget):
+def fault_stats(bench, compiled, trials, seed, max_instr, envelope):
     """(coverage, detected, sdc) for vgpr faults on one compiled build."""
-    reference = bench.reference()
     detected = sdc = 0
     for plan in draw_plans(seed, trials, "vgpr", max_instr=max_instr):
         outcome = execute_trial(bench, compiled, plan,
-                                cycle_budget=cycle_budget,
-                                reference=reference).outcome
+                                cycle_budget=envelope.budget,
+                                reference=envelope.reference,
+                                envelope=envelope).outcome
         detected += outcome == "detected"
         sdc += outcome == "sdc"
     exposed = detected + sdc
@@ -86,13 +87,14 @@ def main():
     print("-" * len(header))
 
     def row(label, compiled):
-        cycles = bench.run(Session(), compiled).cycles
-        # Same watchdog idiom as run_campaign: a fault that corrupts a
-        # loop bound must classify as a hang, not stall the experiment.
-        budget = 25.0 * max(cycles, 1.0) + 2_000_000
+        # Same golden run as run_campaign: its watchdog budget makes a
+        # fault that corrupts a loop bound classify as a hang instead of
+        # stalling the experiment.
+        envelope = golden_run(bench, compiled)
+        cycles = envelope.cycles
         coverage, detected, sdc = fault_stats(
             bench, compiled, args.frontier_trials, args.seed, args.max_instr,
-            budget)
+            envelope)
         cov = f"{coverage:9.1%}" if coverage is not None else f"{'n/a':>9s}"
         print(f"{label:16s} {cov} {cycles / base_cycles:8.2f}x "
               f"{detected:9d} {sdc:5d}")

@@ -42,7 +42,7 @@ import numpy as np
 
 from ..compiler import cache as compile_cache
 from ..compiler.pipeline import compile_kernel
-from ..faults.campaign import draw_plans, execute_trial
+from ..faults.campaign import draw_plans, execute_trial, golden_run
 from ..gpu import fused, vectorized
 from ..gpu.counters import BusyTracker
 from ..ir.builder import KernelBuilder
@@ -249,8 +249,7 @@ def bench_campaign(quick: bool = False) -> Dict:
     make_bench = lambda: DwtHaar1D(n=256, local_size=64)  # noqa: E731
 
     probe = make_bench()
-    golden = probe.execute(variant)
-    budget = 25.0 * max(golden.cycles, 1.0) + 2_000_000
+    budget = golden_run(probe, probe.compile(variant)).budget
     plans = draw_plans(11, trials, target, max_instr=20)
 
     def baseline() -> tuple:
@@ -318,7 +317,6 @@ def bench_faults(quick: bool = False) -> Dict:
     Rates are best-of-``reps`` (noise on shared runners only ever slows
     a rep down).
     """
-    from ..faults.campaign import FaultEnvelope, classify_trial
     from ..kernels.dwt_haar import DwtHaar1D
 
     trials, sweep_trials, reps = (3, 24, 1) if quick else (8, 120, 3)
@@ -327,15 +325,7 @@ def bench_faults(quick: bool = False) -> Dict:
 
     probe = make_bench()
     compiled = probe.compile(variant)
-    golden_session = Session()
-    golden = probe.run(golden_session, compiled)
-    reference = probe.reference()
-    budget = 25.0 * max(golden.cycles, 1.0) + 2_000_000
-    envelope = FaultEnvelope(
-        wave_instrs=[n for r in golden_session.device.stats.launch_results
-                     for n in r.wave_instrs],
-        outcome=classify_trial(probe, golden, reference),
-        cycles=golden.cycles)
+    envelope = golden_run(probe, compiled)
     plans = draw_plans(11, sweep_trials, target, max_instr=20)
 
     def lane(window: bool, subset, lane_reps: int) -> tuple:
@@ -347,8 +337,8 @@ def bench_faults(quick: bool = False) -> Dict:
                 for i, plan in enumerate(subset):
                     bench = make_bench()
                     records.append(execute_trial(
-                        bench, compiled, plan, budget, index=i,
-                        reference=reference,
+                        bench, compiled, plan, envelope.budget, index=i,
+                        reference=envelope.reference,
                         envelope=envelope if window else None))
                 best = max(best, len(subset) / (time.perf_counter() - t0))
         return best, records

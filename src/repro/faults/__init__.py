@@ -9,6 +9,7 @@ from .campaign import (
     classify_trial,
     draw_plans,
     execute_trial,
+    golden_run,
     run_campaign,
     run_single_fault,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "classify_trial",
     "draw_plans",
     "execute_trial",
+    "golden_run",
     "merge_bucket_outcomes",
     "random_plan",
     "run_campaign",

@@ -29,7 +29,14 @@ so the reference configuration remains one toggle away):
   ordinal was never created, or whose trigger exceeds the victim's
   lifetime instruction count, can never fire; such a trial is
   bit-identical to the golden run by induction, so its record is
-  synthesized from the envelope without simulating anything.
+  synthesized from the envelope without simulating anything;
+* *launch replay* — the golden run records each launch's exact
+  pre-launch device state and result on a
+  :class:`~repro.gpu.device.LaunchTape`; a trial launch that starts from
+  that exact state while its hook cannot fire returns the recorded
+  result instead of re-simulating it (DESIGN.md §16).  In multi-launch
+  benchmarks this covers the launches before the victim's and, once
+  a masked upset's state re-converges, the launches after it.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from ..gpu.device import LaunchTape
 from ..gpu.engine import SimulationError
 from ..gpu.fused import fault_window_enabled
 from ..kernels.base import Benchmark, BenchResult
@@ -66,11 +74,16 @@ class TrialRecord:
     #: Static protection-priority bucket of the flipped register (-1 when
     #: unknown: no bucket map, LDS faults, or pre-bucket journals).
     bucket: int = -1
-    #: Execution-path metadata: which engine simulated the trial
-    #: ("standard" | "vectorized"), or "elided" when the fault envelope
-    #: proved the plan could never fire.  Never part of outcome identity
-    #: — two records that differ only here describe the same trial.
+    #: Execution-path metadata: which engine simulated the trial's last
+    #: simulated launch ("standard" | "vectorized"), "replayed" when
+    #: every launch was replayed from the golden tape, or "elided" when
+    #: the fault envelope proved the plan could never fire.  Never part
+    #: of outcome identity — nor are the launch counts below: two
+    #: records that differ only in these fields describe the same trial.
     engine: str = ""
+    #: Completed launches the engine simulated / replayed from the tape.
+    simulated: int = 0
+    replayed: int = 0
 
     def to_json(self) -> Dict:
         return {
@@ -83,6 +96,8 @@ class TrialRecord:
             "error": self.error,
             "bucket": self.bucket,
             "engine": self.engine,
+            "simulated": self.simulated,
+            "replayed": self.replayed,
         }
 
     @classmethod
@@ -98,6 +113,8 @@ class TrialRecord:
             error=payload.get("error", ""),
             bucket=int(payload.get("bucket", -1)),
             engine=payload.get("engine", ""),
+            simulated=int(payload.get("simulated", 0)),
+            replayed=int(payload.get("replayed", 0)),
         )
 
 
@@ -119,6 +136,10 @@ class CampaignResult:
     #: known bucket only) — the join the vulnerability-validation harness
     #: correlates against static predictions.
     bucket_outcomes: Dict[int, Dict[str, int]] = field(default_factory=dict)
+    #: Launches simulated by an engine vs replayed from the golden tape,
+    #: over every trial (routing metadata, not outcomes).
+    simulated_launches: int = 0
+    replayed_launches: int = 0
 
     @property
     def sdc_count(self) -> int:
@@ -138,6 +159,8 @@ class CampaignResult:
         """Tally one trial; keep fired records up to ``record_cap``."""
         self.outcomes[record.outcome] = self.outcomes.get(record.outcome, 0) + 1
         self.trials += 1
+        self.simulated_launches += record.simulated
+        self.replayed_launches += record.replayed
         if record.outcome == "infra_error" and len(self.infra) < self.record_cap:
             self.infra.append(record)
         if record.fired:
@@ -169,6 +192,8 @@ class CampaignResult:
                 out.outcomes[outcome] = out.outcomes.get(outcome, 0) + count
             out.trials += part.trials
             out.fired += part.fired
+            out.simulated_launches += part.simulated_launches
+            out.replayed_launches += part.replayed_launches
             out.dropped_records += part.dropped_records
             for b, hist in part.bucket_outcomes.items():
                 merged_hist = out.bucket_outcomes.setdefault(b, {})
@@ -200,6 +225,8 @@ class CampaignResult:
             "fired": self.fired,
             "outcomes": dict(self.outcomes),
             "coverage": round(self.coverage, 4),
+            "launches": {"simulated": self.simulated_launches,
+                         "replayed": self.replayed_launches},
         }
         if self.bucket_outcomes:
             doc["bucket_outcomes"] = {
@@ -264,16 +291,51 @@ class FaultEnvelope:
     to the golden run (the hook is pure observation); by induction a
     trial that can never fire *is* the golden run, and its record can be
     synthesized without simulating.
+
+    ``budget`` is the trials' watchdog horizon, ``reference`` the host
+    model's golden outputs every trial is checked against, and ``tape``
+    the golden run's recorded launches, which trial launches replay once
+    their device state re-converges (see :meth:`Device.replay_from
+    <repro.gpu.device.Device.replay_from>`).  Build one with
+    :func:`golden_run`.
     """
 
     wave_instrs: List[int]
     outcome: str
     cycles: float
+    budget: float
+    reference: Dict
+    tape: LaunchTape
 
     def can_fire(self, plan: FaultPlan) -> bool:
         o = plan.wave_ordinal
         return (0 <= o < len(self.wave_instrs)
                 and plan.trigger_instr <= self.wave_instrs[o])
+
+
+def golden_run(probe: Benchmark, compiled) -> FaultEnvelope:
+    """Run ``probe`` fault-free once and return what it proves.
+
+    The golden run sets a watchdog budget so corrupted spin locks or loop
+    bounds end as ``hang`` instead of running to the horizon; its host
+    reference outputs are reused by every trial's oracle check
+    (benchmark inputs are deterministic per instance seed); its per-wave
+    instruction totals drive no-fire elision and its launch tape drives
+    launch replay.
+    """
+    session = Session()
+    tape = session.device.record_tape()
+    golden = probe.run(session, compiled)
+    reference = probe.reference()
+    return FaultEnvelope(
+        wave_instrs=[n for r in session.device.stats.launch_results
+                     for n in r.wave_instrs],
+        outcome=classify_trial(probe, golden, reference),
+        cycles=golden.cycles,
+        budget=25.0 * max(golden.cycles, 1.0) + 2_000_000,
+        reference=reference,
+        tape=tape,
+    )
 
 
 def classify_trial(bench: Benchmark, run: BenchResult,
@@ -310,9 +372,11 @@ def execute_trial(
 
     ``envelope`` enables no-fire elision: a plan the golden run proves
     can never fire returns the golden outcome directly (marked
-    ``engine="elided"``).  The elision is skipped when fault-window
+    ``engine="elided"``).  It also lets the trial's launches replay the
+    golden tape wherever the trial's device state equals the golden's
+    and the upset cannot fire.  Both are skipped when fault-window
     execution is globally disabled, so the reference configuration
-    simulates every trial.
+    simulates every launch of every trial.
     """
     if (envelope is not None and not envelope.can_fire(plan)
             and fault_window_enabled()):
@@ -323,6 +387,8 @@ def execute_trial(
     hook = FaultHook(plan, scalar_reg_ids=compiled.uniformity.uniform_regs,
                      priority_buckets=priority_buckets)
     session = Session.with_cycle_budget(cycle_budget)
+    if envelope is not None:
+        session.device.replay_from(envelope.tape)
     try:
         run = bench.run(session, compiled, fault_hook=hook)
     except SimulationError:
@@ -331,12 +397,14 @@ def execute_trial(
         outcome, cycles = "hang", 0.0
     else:
         outcome, cycles = classify_trial(bench, run, reference), run.cycles
-    launches = session.device.stats.launch_results
+    kinds = [r.engine_kind for r in session.device.stats.launch_results]
+    simulated = [k for k in kinds if k != "replayed"]
     return TrialRecord(
         index=index, outcome=outcome, plan=plan,
         fired=hook.record.fired, description=hook.record.description,
         cycles=cycles, bucket=hook.record.bucket,
-        engine=launches[-1].engine_kind if launches else "",
+        engine=simulated[-1] if simulated else (kinds[-1] if kinds else ""),
+        simulated=len(simulated), replayed=len(kinds) - len(simulated),
     )
 
 
@@ -472,27 +540,9 @@ def run_campaign(
 
         buckets = register_buckets(compiled.kernel)
 
-        # Golden run establishes a watchdog budget so corrupted spin locks
-        # or loop bounds terminate as "hang" instead of running to the
-        # horizon; its host-side reference outputs are reused by every
-        # trial's oracle check (benchmark inputs are deterministic per
-        # instance seed).
-        golden_session = Session()
-        golden = probe.run(golden_session, compiled)
-        reference = probe.reference()
-        budget = 25.0 * max(golden.cycles, 1.0) + 2_000_000
-
-        # The golden run's per-wave instruction totals bound every
-        # trial: plans that provably cannot fire reuse its outcome
-        # instead of re-simulating (see FaultEnvelope).
-        envelope = FaultEnvelope(
-            wave_instrs=[
-                n for r in golden_session.device.stats.launch_results
-                for n in r.wave_instrs
-            ],
-            outcome=classify_trial(probe, golden, reference),
-            cycles=golden.cycles,
-        )
+        # Forked workers inherit the envelope (and its launch tape)
+        # copy-on-write.
+        envelope = golden_run(probe, compiled)
 
         plans = draw_plans(seed, trials, target, max_wave=max_wave,
                            max_instr=max_instr)
@@ -505,8 +555,9 @@ def run_campaign(
             # Fresh benchmark instance per trial (deterministic input rng);
             # the compiled artifact and golden reference are shared.
             bench = make_bench()
-            return execute_trial(bench, compiled, plans[index], budget,
-                                 index=index, reference=reference,
+            return execute_trial(bench, compiled, plans[index],
+                                 envelope.budget, index=index,
+                                 reference=envelope.reference,
                                  priority_buckets=buckets, envelope=envelope)
 
         def on_result(task_result) -> None:

@@ -107,6 +107,16 @@ class FaultHook:
             return None
         return self.plan.trigger_instr
 
+    def inert(self, ordinal_base: int, waves: int) -> bool:
+        """True when this hook cannot fire during a launch whose waves
+        take ordinals ``[ordinal_base, ordinal_base + waves)``: the upset
+        already fired, or its victim belongs to another launch.  Such a
+        launch is unobservable to the hook, which is what lets the device
+        replay a recorded fault-free launch in its place."""
+        return (self.record.fired
+                or not ordinal_base <= self.plan.wave_ordinal
+                < ordinal_base + waves)
+
     def __call__(self, wave, instr) -> None:
         if self.record.fired:
             return

@@ -149,6 +149,18 @@ class Engine:
     # ------------------------------------------------------------------
 
     def run(self, ctx: LaunchContext, resources: KernelResources) -> LaunchResult:
+        # Kernel arithmetic wraps like the hardware, so numpy's overflow
+        # and invalid-value warnings are noise.  The error state is set
+        # once around the whole launch, never inside wave generators:
+        # generators suspend mid-``with`` and interleave, so per-wave
+        # resets would run out of order and leak "ignore" to the caller,
+        # and a generator abandoned by an aborted launch would reset it
+        # from a GC finalizer, which can land inside another ``errstate``
+        # entry and segfault CPython 3.11.
+        with np.errstate(all="ignore"):
+            return self._run(ctx, resources)
+
+    def _run(self, ctx: LaunchContext, resources: KernelResources) -> LaunchResult:
         cfg = self.config
         occ = compute_occupancy(cfg, resources, ctx.flat_local)
 
@@ -459,9 +471,9 @@ class Engine:
         cfg = self.config
         cu = self._cu(wave)
         c = self.counters
-        addrs = req.buf.addresses(req.indices)
+        addrs = req.buf.addresses(req.indices).tolist()
         nlanes = len(addrs)
-        lines = coalesce_lines(addrs, cfg.l2_line_bytes)
+        lb = cfg.l2_line_bytes
         start = max(t, cu.mem_free)
         # The memory unit issues one vector-atomic instruction; the L2's
         # atomic units unroll it lane by lane.
@@ -472,8 +484,8 @@ class Engine:
 
         # Cold atomic targets fill from (and eventually write back to)
         # DRAM like any other dirty line.
-        for line in lines:
-            hit, writeback = self.l2.access(int(line), write=True)
+        for line in sorted({a // lb for a in addrs}):
+            hit, writeback = self.l2.access(line, write=True)
             if hit:
                 c.l2_hits += 1
             else:
@@ -487,25 +499,38 @@ class Engine:
         # Serialization at the L2 atomic units: lanes touching one cache
         # line process back-to-back, and lanes to the same *address* (lock
         # words contended across wavefronts) serialize more strongly.
+        # The comparison chains keep max()'s first-maximum semantics.
         max_done = start + issue
         per_op = 1.0 / cfg.atomic_chip_ops_per_cycle
-        for i in range(nlanes):
-            addr = int(addrs[i])
-            line = addr // cfg.l2_line_bytes
+        serial = cfg.atomic_serial_cycles
+        op_cycles = cfg.atomic_op_cycles
+        latency = cfg.atomic_latency
+        addr_free = self._atomic_free
+        line_free = self._atomic_line_free
+        addr_get = addr_free.get
+        line_get = line_free.get
+        unit_free = self._atomic_unit_free
+        for addr in addrs:
+            line = addr // lb
             # Chip-wide atomic-ALU throughput: a pure rate token, consumed
             # at issue so one contended line cannot stall the pipeline.
-            ustart = max(start, self._atomic_unit_free)
-            self._atomic_unit_free = ustart + per_op
-            astart = max(
-                ustart,
-                self._atomic_free.get(addr, 0.0),
-                self._atomic_line_free.get(line, 0.0),
-            )
-            self._atomic_free[addr] = astart + cfg.atomic_serial_cycles
-            self._atomic_line_free[line] = astart + cfg.atomic_op_cycles
-            done = astart + cfg.atomic_latency
+            ustart = start
+            if unit_free > ustart:
+                ustart = unit_free
+            unit_free = ustart + per_op
+            astart = ustart
+            free = addr_get(addr, 0.0)
+            if free > astart:
+                astart = free
+            free = line_get(line, 0.0)
+            if free > astart:
+                astart = free
+            addr_free[addr] = astart + serial
+            line_free[line] = astart + op_cycles
+            done = astart + latency
             if done > max_done:
                 max_done = done
+        self._atomic_unit_free = unit_free
         old = self.mem.atomic(req.atomic_op, req.buf, req.indices, req.values, req.compares)
         return max_done, old
 

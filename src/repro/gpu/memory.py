@@ -10,6 +10,8 @@ bandwidth consumption.
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -76,10 +78,36 @@ class GlobalMemory:
         values: np.ndarray,
         compares: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Apply a lane-ordered atomic RMW; returns old values per lane."""
+        """Apply a lane-ordered atomic RMW; returns old values per lane.
+
+        When every lane names a distinct element (and the operands share
+        the buffer's dtype, so no promotion differs between scalar and
+        array arithmetic) the lanes cannot observe each other and the
+        RMW runs as one numpy gather/compute/scatter; lanes that collide
+        on an element keep the sequential lane loop.
+        """
         self._bounds_check(buf, indices)
-        old = np.empty_like(values)
         data = buf.data
+        if (data.dtype == values.dtype
+                and (compares is None or compares.dtype == data.dtype)
+                and (indices.size == 1
+                     or np.unique(indices).size == indices.size)):
+            old = data[indices]
+            if op == "add":
+                data[indices] = old + values
+            elif op == "or":
+                data[indices] = old | values
+            elif op == "max":
+                # max(prev, v) keeps prev unless v is strictly greater.
+                data[indices] = np.where(values > old, values, old)
+            elif op == "xchg":
+                data[indices] = values
+            elif op == "cmpxchg":
+                data[indices] = np.where(old == compares, values, old)
+            else:  # pragma: no cover - guarded by IR validation
+                raise ValueError(f"unknown atomic op {op!r}")
+            return old
+        old = np.empty_like(values)
         for i in range(indices.size):
             idx = indices[i]
             prev = data[idx]
@@ -175,6 +203,31 @@ class CacheModel:
                 self._dirty.add(line_addr)
         return False, victim
 
+    def snapshot(self) -> "CacheState":
+        """Compact image of the tag array, dirty set and statistics."""
+        sets = self._sets
+        return CacheState(
+            tags=np.fromiter(itertools.chain.from_iterable(sets),
+                             dtype=np.int64),
+            fill=np.fromiter(map(len, sets), dtype=np.int64,
+                             count=len(sets)),
+            dirty=np.array(sorted(self._dirty), dtype=np.int64),
+            stats=(self.hits, self.misses, self.writebacks),
+        )
+
+    def matches(self, state: "CacheState") -> bool:
+        """True when this cache is exactly in ``state``."""
+        return ((self.hits, self.misses, self.writebacks) == state.stats
+                and self.snapshot() == state)
+
+    def restore(self, state: "CacheState") -> None:
+        """Put the cache back into a :meth:`snapshot` image."""
+        tags = state.tags.tolist()
+        ends = np.cumsum(state.fill).tolist()
+        self._sets = [tags[a:b] for a, b in zip([0, *ends], ends)]
+        self._dirty = set(state.dirty.tolist())
+        self.hits, self.misses, self.writebacks = state.stats
+
     def reset_stats(self) -> None:
         self.hits = 0
         self.misses = 0
@@ -184,3 +237,27 @@ class CacheModel:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class CacheState:
+    """Immutable image of one :class:`CacheModel`.
+
+    ``tags`` concatenates every set's tags in LRU order (least recent
+    first), ``fill`` holds each set's occupancy, ``dirty`` the sorted
+    dirty lines and ``stats`` the (hits, misses, writebacks) totals.
+    Equality is exact array equality of all four.
+    """
+
+    tags: np.ndarray
+    fill: np.ndarray
+    dirty: np.ndarray
+    stats: Tuple[int, int, int]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CacheState):
+            return NotImplemented
+        return (self.stats == other.stats
+                and np.array_equal(self.fill, other.fill)
+                and np.array_equal(self.tags, other.tags)
+                and np.array_equal(self.dirty, other.dirty))

@@ -442,10 +442,9 @@ class VecWave(Wavefront):
     # the row view, which writes through to the stacked array.
 
     def _vrun(self):
-        with np.errstate(all="ignore"):
-            yield from self._walk(self._coord.prog.items, self.active0.copy())
-            if self._has_pending():
-                yield self._flush()
+        yield from self._walk(self._coord.prog.items, self.active0.copy())
+        if self._has_pending():
+            yield self._flush()
 
     def _walk(self, items, mask: np.ndarray):
         """Mirror of ``fused._exec_fused`` with deferred block execution.
@@ -669,11 +668,6 @@ class VecEngine(Engine):
             n_waves = (ctx.flat_local + WAVE - 1) // WAVE
             if 0 <= rel < ctx.total_groups * n_waves:
                 self._victim_group = rel % ctx.total_groups
-        # The reference interpreter enters np.errstate inside each wave
-        # generator; here block execution happens outside walker frames,
-        # so the whole run is wrapped instead (errstate only affects
-        # warnings, never computed values).
-        with np.errstate(all="ignore"):
-            result = super().run(ctx, resources)
+        result = super().run(ctx, resources)
         result.engine_kind = "vectorized"
         return result

@@ -281,38 +281,37 @@ class Wavefront:
         the engine popped (and therefore ordinal-stamped) the wave — so
         the victim test below always sees the final ordinal.
         """
-        with np.errstate(all="ignore"):
-            ctx = self.ctx
-            hook = ctx.fault_hook
-            fused = ctx.fused
-            if hook is not None and ctx.fault_window:
-                # Only the (unfired) victim ever needs hook calls; the
-                # hook is a no-op for every other wave by construction.
-                self._ihook = hook if hook.window(self) is not None else None
-                if fused is not None:
-                    if self._ihook is None:
-                        # window(self) is None for good (the victim test
-                        # is pure in the stamped ordinal), so the window
-                        # path would never step: take the plain fast
-                        # path and skip its per-block window probes.
-                        yield from self._exec_fused(fused.items,
-                                                    self.active0.copy())
-                    else:
-                        yield from self._exec_fused_window(
-                            fused.items, self.active0.copy())
-                else:
-                    yield from self._exec_body(ctx.kernel.body,
-                                               self.active0.copy())
-            else:
-                self._ihook = hook
-                if fused is not None and hook is None:
+        ctx = self.ctx
+        hook = ctx.fault_hook
+        fused = ctx.fused
+        if hook is not None and ctx.fault_window:
+            # Only the (unfired) victim ever needs hook calls; the
+            # hook is a no-op for every other wave by construction.
+            self._ihook = hook if hook.window(self) is not None else None
+            if fused is not None:
+                if self._ihook is None:
+                    # window(self) is None for good (the victim test
+                    # is pure in the stamped ordinal), so the window
+                    # path would never step: take the plain fast
+                    # path and skip its per-block window probes.
                     yield from self._exec_fused(fused.items,
                                                 self.active0.copy())
                 else:
-                    yield from self._exec_body(ctx.kernel.body,
-                                               self.active0.copy())
-            if self._has_pending():
-                yield self._flush()
+                    yield from self._exec_fused_window(
+                        fused.items, self.active0.copy())
+            else:
+                yield from self._exec_body(ctx.kernel.body,
+                                           self.active0.copy())
+        else:
+            self._ihook = hook
+            if fused is not None and hook is None:
+                yield from self._exec_fused(fused.items,
+                                            self.active0.copy())
+            else:
+                yield from self._exec_body(ctx.kernel.body,
+                                           self.active0.copy())
+        if self._has_pending():
+            yield self._flush()
 
     def _has_pending(self) -> bool:
         p = self._pend

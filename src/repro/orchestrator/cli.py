@@ -126,10 +126,13 @@ def _markdown(results: List[CampaignResult], telemetries: List[Telemetry]) -> st
     retries = sum(t.retries for t in telemetries)
     skipped = sum(t.skipped for t in telemetries)
     lines.append("")
+    simulated = sum(r.simulated_launches for r in results)
+    replayed = sum(r.replayed_launches for r in results)
     lines.append(
         f"{len(results)} campaigns, {trials} trials "
         f"({skipped} resumed from journal, {retries} retries) "
-        f"in {elapsed:.1f}s"
+        f"in {elapsed:.1f}s; launches: {simulated} simulated, "
+        f"{replayed} replayed from the golden run"
     )
     return "\n".join(lines)
 

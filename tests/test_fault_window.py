@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 
 from repro.compiler.pipeline import compile_kernel
-from repro.faults.campaign import (
-    FaultEnvelope,
-    classify_trial,
-    draw_plans,
-    execute_trial,
-)
+from repro.faults.campaign import draw_plans, execute_trial, golden_run
 from repro.faults.injector import FaultHook, FaultPlan, random_plan
 from repro.gpu import fused, vectorized
 from repro.gpu.schedule import ReorderScheduler
@@ -55,25 +50,15 @@ def _campaign(abbrev, variant, target, trials, seed, window):
     probe = make_benchmark(abbrev, "small")
     compiled = _compile(probe, variant)
     with fused.fault_window(window):
-        golden_session = Session()
-        golden = probe.run(golden_session, compiled)
-        reference = probe.reference()
-        budget = 25.0 * max(golden.cycles, 1.0) + 2_000_000
-        envelope = FaultEnvelope(
-            wave_instrs=[
-                n for r in golden_session.device.stats.launch_results
-                for n in r.wave_instrs
-            ],
-            outcome=classify_trial(probe, golden, reference),
-            cycles=golden.cycles)
+        envelope = golden_run(probe, compiled)
         plans = draw_plans(seed, trials, target, max_instr=25,
                            max_wave=_MAX_WAVE.get(abbrev, 8))
         records = []
         for i, plan in enumerate(plans):
             bench = make_benchmark(abbrev, "small")
             records.append(execute_trial(
-                bench, compiled, plan, budget, index=i,
-                reference=reference,
+                bench, compiled, plan, envelope.budget, index=i,
+                reference=envelope.reference,
                 envelope=envelope if window else None))
     return records, envelope
 

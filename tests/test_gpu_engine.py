@@ -206,6 +206,75 @@ class TestWatchdog:
         with pytest.raises(SimulationError, match="watchdog"):
             dev.launch(k, 64, 64, {"flag": fb, "out": ob})
 
+    def test_launches_leave_numpy_error_state_alone(self):
+        """Wave interpreters used to enter ``np.errstate`` inside their
+        generators: interleaved exits leaked "ignore" to the caller, and
+        generators abandoned by an aborted launch reset the state from a
+        GC finalizer, which can segfault CPython 3.11.  The error state
+        is now the caller's after every launch, completed or aborted,
+        and no wave generator holds an ``errstate`` context."""
+        import gc
+
+        cfg = HD7790.with_(max_cycles=20_000)
+        b = KernelBuilder("k")
+        flag = b.buffer_param("flag", DType.U32)
+        with b.loop() as lp:
+            f = b.atomic("add", flag, 0, 0)
+            lp.break_unless(b.eq(f, 0))
+        spin = b.finish()
+        with np.errstate(all="warn"):
+            before = np.geterr()
+            _launch(_streaming_kernel(alu_chain=4), n=1024, local=128)
+            assert np.geterr() == before
+            dev = Device(cfg)
+            fb = dev.alloc_zeros("flag", 1, np.uint32)
+            with pytest.raises(SimulationError):
+                dev.launch(spin, 256, 64, {"flag": fb})
+            assert np.geterr() == before
+            gc.collect()
+            assert np.geterr() == before
+
+    def test_aborted_launches_do_not_crash_the_interpreter(self):
+        """Aborted launches under an eager cyclic GC, interleaved with
+        ``errstate`` entries: this segfaulted CPython 3.11 within the
+        first few launches while wave generators held ``errstate``."""
+        import os
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        script = textwrap.dedent("""
+            import gc
+            import numpy as np
+            from repro.gpu import Device, HD7790, SimulationError
+            from repro.ir import DType, KernelBuilder
+
+            b = KernelBuilder("k")
+            flag = b.buffer_param("flag", DType.U32)
+            with b.loop() as lp:
+                lp.break_unless(b.eq(b.atomic("add", flag, 0, 0), 0))
+            spin = b.finish()
+            gc.set_threshold(1, 1, 1)
+            for _ in range(100):
+                dev = Device(HD7790.with_(max_cycles=3_000))
+                fb = dev.alloc_zeros("flag", 1, np.uint32)
+                try:
+                    dev.launch(spin, 512, 64, {"flag": fb})
+                except SimulationError:
+                    pass
+                for _ in range(50):
+                    with np.errstate(all="ignore"):
+                        pass
+            print("ok")
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "ok"
+
 
 class TestSchedulingAccounting:
     def test_groups_and_waves_counted(self):
