@@ -17,8 +17,8 @@ optional JSONL journal (``resume=True`` skips them on a re-run), and a
 worker crash or per-trial timeout is recorded as an ``infra_error``
 outcome instead of losing the campaign.
 
-Two fast paths keep the per-trial cost low without changing a single
-outcome bit (both gated on :func:`repro.gpu.fused.fault_window_enabled`
+Four fast paths keep the per-trial cost low without changing a single
+outcome bit (all gated on :func:`repro.gpu.fused.fault_window_enabled`
 so the reference configuration remains one toggle away):
 
 * *fault-window execution* — window-capable hooks run the fused
@@ -36,7 +36,11 @@ so the reference configuration remains one toggle away):
   that exact state while its hook cannot fire returns the recorded
   result instead of re-simulating it (DESIGN.md §16).  In multi-launch
   benchmarks this covers the launches before the victim's and, once
-  a masked upset's state re-converges, the launches after it.
+  a masked upset's state re-converges, the launches after it;
+* *livelock proof* — a fault-window launch whose upset wedged every
+  live wave in a spin loop that can never exit ends as soon as that is
+  proven, instead of at the watchdog (DESIGN.md §17).  Either way the
+  trial is a ``hang``.
 """
 
 from __future__ import annotations
@@ -81,7 +85,8 @@ class TrialRecord:
     #: of outcome identity — nor are the launch counts below: two
     #: records that differ only in these fields describe the same trial.
     engine: str = ""
-    #: Completed launches the engine simulated / replayed from the tape.
+    #: Launches the engine simulated (a hang's aborted launch included) /
+    #: replayed from the tape.
     simulated: int = 0
     replayed: int = 0
 
@@ -389,15 +394,19 @@ def execute_trial(
     session = Session.with_cycle_budget(cycle_budget)
     if envelope is not None:
         session.device.replay_from(envelope.tape)
+    aborted = []
     try:
         run = bench.run(session, compiled, fault_hook=hook)
-    except SimulationError:
+    except SimulationError as err:
         # A corrupted loop bound or lock word wedged the kernel: a
-        # detectable-unrecoverable event (watchdog timeout), not an SDC.
+        # detectable-unrecoverable event (watchdog timeout or livelock
+        # proof), not an SDC.  The aborted launch was simulated too.
         outcome, cycles = "hang", 0.0
+        aborted = [err.engine_kind]
     else:
         outcome, cycles = classify_trial(bench, run, reference), run.cycles
-    kinds = [r.engine_kind for r in session.device.stats.launch_results]
+    kinds = [r.engine_kind
+             for r in session.device.stats.launch_results] + aborted
     simulated = [k for k in kinds if k != "replayed"]
     return TrialRecord(
         index=index, outcome=outcome, plan=plan,

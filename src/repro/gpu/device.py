@@ -22,10 +22,10 @@ import numpy as np
 from ..ir.core import Kernel
 from .config import DEFAULT_POWER, GpuConfig, HD7790, PowerConfig
 from .counters import KernelCounters, merge_counters
-from .engine import Engine, LaunchResult
+from .engine import Engine, LaunchResult, SimulationError
 from .memory import CacheModel, CacheState, DeviceBuffer, GlobalMemory
 from .occupancy import KernelResources, compute_occupancy
-from .fused import fault_window_enabled, maybe_lower
+from .fused import LivelockProof, fault_window_enabled, maybe_lower
 from .power import PowerReport, estimate_power
 from .vectorized import VecEngine, vector_enabled
 from .wavefront import LaunchContext
@@ -355,11 +355,20 @@ class Device:
             and (fault_hook is None
                  or (windowable and scheduler is None and no_redispatch))
         )
+        # The livelock proof (DESIGN.md §17) runs in the fused walkers of
+        # fault-window launches only: the reference interpreter and the
+        # vectorized walker never mark a wave stuck.
+        if windowable and ctx.fused is not None and not use_vec:
+            ctx.livelock = LivelockProof(fault_hook)
         engine_cls = VecEngine if use_vec else Engine
         engine = engine_cls(self.config, self.memory, self.l1s, self.l2,
                             start_time=self.clock, scheduler=scheduler,
                             wave_ordinal_base=self._wave_ordinals)
-        return engine.run(ctx, resources)
+        try:
+            return engine.run(ctx, resources)
+        except SimulationError as err:
+            err.engine_kind = "vectorized" if use_vec else "standard"
+            raise
 
     # -- aggregate reporting -------------------------------------------------
 

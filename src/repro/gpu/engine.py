@@ -50,6 +50,9 @@ from .wavefront import (
 class SimulationError(Exception):
     """Deadlock/livelock watchdog or internal inconsistency."""
 
+    #: the engine that ran the aborted launch, stamped by the device
+    engine_kind: str = ""
+
 
 @dataclass
 class LaunchResult:
@@ -174,11 +177,13 @@ class Engine:
         observe = sched.observe if sched.observes else None
         seq = itertools.count()
         t0 = self.start_time
-        end_time = t0
+        end_time = t = t0
         events = 0
         waves_launched = 0
         waves_completed = 0
         groups_launched = 0
+        parked = 0  # waves waiting at a barrier
+        proof = ctx.livelock
         detections: List[Tuple[float, int, int]] = []
 
         def dispatch(cu_idx: int, when: float) -> None:
@@ -206,6 +211,15 @@ class Engine:
 
         max_events = 200_000_000
         while sched:
+            # Livelock proof (DESIGN.md §17): every live wave is stuck at
+            # the current write epoch or parked at a barrier.  Waves are
+            # only marked stuck once the hook has fired.
+            if (proof is not None and proof.stuck_epoch == proof.epoch
+                    and len(proof.stuck) + parked
+                    == waves_launched - waves_completed):
+                raise SimulationError(
+                    f"{proof.describe(parked, t)} "
+                    f"(kernel {ctx.kernel.name!r})")
             t, _s, wave, sendval = sched.pop()
             if wave.ordinal < 0:
                 wave.ordinal = self._next_ordinal
@@ -254,7 +268,9 @@ class Engine:
             elif kind is BarrierReq:
                 group = wave.group
                 group.barrier_waiting.append((t, wave))
+                parked += 1
                 if len(group.barrier_waiting) == group.n_waves:
+                    parked -= group.n_waves
                     release = max(bt for bt, _w in group.barrier_waiting)
                     release += self.config.branch_cycles
                     for _bt, w in group.barrier_waiting:
@@ -343,12 +359,13 @@ class Engine:
             # Under fault injection a flipped address register may point
             # anywhere; real hardware would issue the wild access.  Model
             # it as a wrap within the buffer and record the event so
-            # campaigns can classify the run.
+            # campaigns can classify the run.  In range the wrap is the
+            # identity, so it only runs when an index leaves the buffer.
             size = req.buf.data.size
-            wrapped = req.indices % size
-            if not np.array_equal(wrapped, req.indices):
+            idx = req.indices
+            if idx.size and (idx.min() < 0 or idx.max() >= size):
                 self.oob_events += 1
-                req.indices = wrapped
+                req.indices = idx % size
         if req.op == "load":
             return self._do_load(wave, req, t)
         if req.op == "sload":
@@ -465,6 +482,8 @@ class Engine:
         if stall > 0:
             c.write_stall.add(start + issue, end)
         self.mem.write(req.buf, req.indices, req.values)
+        if wave.ctx.livelock is not None:
+            wave.ctx.livelock.epoch += 1
         return end, None
 
     def _do_atomic(self, wave: Wavefront, req: GlobalReq, t: float):
@@ -532,6 +551,14 @@ class Engine:
                 max_done = done
         self._atomic_unit_free = unit_free
         old = self.mem.atomic(req.atomic_op, req.buf, req.indices, req.values, req.compares)
+        # Every lane reading back its own old value, bit for bit, means
+        # no word changed (an add of 0, an xchg or cmpxchg that stored
+        # what was there).
+        proof = wave.ctx.livelock
+        if proof is not None:
+            new = req.buf.data[req.indices]
+            if new.dtype != old.dtype or new.tobytes() != old.tobytes():
+                proof.epoch += 1
         return max_done, old
 
     def _cu(self, wave: Wavefront) -> _CuState:

@@ -42,6 +42,12 @@ hooks (no ``supports_window`` attribute) still force the reference
 interpreter.  Bitwise equivalence of the fault-free paths is pinned by
 ``tests/test_fused_equivalence.py`` and guarded in CI by
 ``python -m repro.bench --quick``.
+
+Fault-window launches also arm the *livelock proof*
+(:class:`LivelockProof`, DESIGN.md §17): once the upset has fired, a
+launch that provably can never finish ends with a ``livelock:``
+:class:`~repro.gpu.engine.SimulationError` instead of running to the
+watchdog.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ import numpy as np
 
 from ..ir.core import (
     Alu,
+    Barrier,
     Cmp,
     Const,
     If,
@@ -66,6 +73,7 @@ from ..ir.core import (
     Stmt,
     Swizzle,
     While,
+    walk_instrs,
 )
 from ..ir.core import TRANSCENDENTAL_OPS
 from .wavefront import (
@@ -208,14 +216,87 @@ class LoweredIf:
 
 
 class LoweredWhile:
-    """Structured loop over lowered condition/body item lists."""
+    """Structured loop over lowered condition/body item lists.
 
-    __slots__ = ("cond_items", "cond", "body_items")
+    ``writes`` holds the ids of every register the loop's condition and
+    body (nested code included) can write, or ``None`` when the loop
+    holds a barrier: the livelock proof never marks such a loop stuck.
+    """
 
-    def __init__(self, cond_items, cond, body_items):
+    __slots__ = ("cond_items", "cond", "body_items", "writes")
+
+    def __init__(self, cond_items, cond, body_items, writes):
         self.cond_items = cond_items
         self.cond = cond
         self.body_items = body_items
+        self.writes = writes
+
+
+def _loop_writes(loop: While) -> Optional[Tuple[int, ...]]:
+    instrs = list(walk_instrs([loop]))
+    if any(ins.__class__ is Barrier for ins in instrs):
+        return None
+    return tuple(dict.fromkeys(id(r) for ins in instrs for r in ins.dests()))
+
+
+class LivelockProof:
+    """Proves that a fault-window launch can never finish (DESIGN.md §17).
+
+    ``epoch`` is the launch's write epoch: the engine bumps it for every
+    global store and every atomic that changed a word, the wavefront for
+    every LDS store, so two equal readings bracket a stretch in which
+    global memory and LDS did not change.
+
+    :meth:`back_edge` runs at each back-edge of one loop instance.  When
+    the loop's ``live`` mask and every register it can write are bitwise
+    equal to the previous back-edge, the epoch did not move in between
+    and the hook had already fired there, the next iteration repeats the
+    last one exactly for as long as the epoch holds: registers the loop
+    does not write cannot change inside it, and its reads see the same
+    memory.  The wave is then *stuck* at that epoch.
+
+    The engine raises once every live wave is stuck at the current epoch
+    or parked at a barrier: no wave can write, reach a barrier or finish
+    again, so the launch could only run into the watchdog.
+    """
+
+    __slots__ = ("hook", "epoch", "stuck", "stuck_epoch")
+
+    def __init__(self, hook):
+        self.hook = hook
+        self.epoch = 0
+        #: waves proven stuck at ``stuck_epoch``
+        self.stuck: set = set()
+        self.stuck_epoch = -1
+
+    def back_edge(self, wave: Wavefront, loop: LoweredWhile,
+                  live: np.ndarray, prev):
+        """Check one loop instance; returns the state for its next back-edge."""
+        if loop.writes is None or not self.hook.fired:
+            return None
+        epoch = self.epoch
+        if prev is None or prev[0] != epoch:
+            return (epoch, None)
+        regs = wave.regs
+        state = (live.tobytes(),
+                 *[regs[r].tobytes() if r in regs else None
+                   for r in loop.writes])
+        if state == prev[1]:
+            if self.stuck_epoch != epoch:
+                self.stuck_epoch = epoch
+                self.stuck = set()
+            self.stuck.add(wave)
+        else:
+            self.stuck.discard(wave)
+        return (epoch, state)
+
+    def describe(self, parked: int, t: float) -> str:
+        waves = ", ".join(
+            f"{w.ordinal} (group {w.group.flat_group})"
+            for w in sorted(self.stuck, key=lambda w: w.ordinal))
+        return (f"livelock: waves {waves} spin on unchanged memory "
+                f"from t={t:.0f}"
+                + (f", {parked} parked at barriers" if parked else ""))
 
 
 class FusedProgram:
@@ -423,6 +504,7 @@ def _lower_body(body: Sequence[Stmt], label: str) -> List[object]:
                     _lower_body(stmt.cond_block, label),
                     stmt.cond,
                     _lower_body(stmt.body, label),
+                    _loop_writes(stmt),
                 )
             )
         else:
@@ -493,6 +575,7 @@ def _exec_fused(self: Wavefront, items, mask: np.ndarray,
         elif cls is LoweredWhile:
             live = mask.copy()
             l_full = full
+            proof, spin = self.ctx.livelock, None
             while True:
                 yield from self._exec_fused(item.cond_items, live, l_full)
                 cond = self.read(item.cond)
@@ -505,6 +588,8 @@ def _exec_fused(self: Wavefront, items, mask: np.ndarray,
                 if not l_full and (full or mask.any()):
                     self._pend.n_div_branch += 1
                 yield from self._exec_fused(item.body_items, live, l_full)
+                if proof is not None:
+                    spin = proof.back_edge(self, item, live, spin)
                 if (self._pend.valu_cycles + self._pend.salu_cycles
                         > _SPIN_FLUSH_CYCLES):
                     yield self._flush()
@@ -564,6 +649,7 @@ def _exec_fused_window(self: Wavefront, items, mask: np.ndarray,
         elif cls is LoweredWhile:
             live = mask.copy()
             l_full = full
+            proof, spin = self.ctx.livelock, None
             while True:
                 yield from self._exec_fused_window(item.cond_items, live,
                                                    l_full)
@@ -578,6 +664,8 @@ def _exec_fused_window(self: Wavefront, items, mask: np.ndarray,
                     self._pend.n_div_branch += 1
                 yield from self._exec_fused_window(item.body_items, live,
                                                    l_full)
+                if proof is not None:
+                    spin = proof.back_edge(self, item, live, spin)
                 if (self._pend.valu_cycles + self._pend.salu_cycles
                         > _SPIN_FLUSH_CYCLES):
                     yield self._flush()

@@ -155,6 +155,9 @@ class LaunchContext:
         #: per-instruction stepping only near the victim's trigger).
         #: Plain callable hooks keep the reference per-instruction path.
         self.fault_window: bool = False
+        #: the livelock proof of a fault-window launch
+        #: (:class:`repro.gpu.fused.LivelockProof`), or None when unarmed
+        self.livelock = None
         #: per-launch cache of broadcast immediates (shared by all waves)
         self.broadcast_cache: Dict[int, np.ndarray] = {}
         #: lowered fused program (see :mod:`repro.gpu.fused`), or None to
@@ -444,6 +447,8 @@ class Wavefront:
                 idx = self.read(instr.index)[mask].astype(np.int64)
                 idx = self._lds_bounds(instr.lds.name, arr, idx)
                 arr[idx] = self.read(instr.value)[mask].astype(arr.dtype)
+                if self.ctx.livelock is not None:
+                    self.ctx.livelock.epoch += 1
                 if self._has_pending():
                     yield self._flush()
                 yield LdsReq("store", self._bank_passes(idx), int(mask.sum()))
