@@ -89,6 +89,8 @@ class CFG:
         self.locs: Dict[int, Loc] = {
             id(instr): loc for b in self.blocks for instr, loc in b.instrs
         }
+        self._positions: Optional[Dict[int, Tuple[int, int]]] = None
+        self._barriers: Optional[List[List[int]]] = None
 
     # -- construction -------------------------------------------------------
 
@@ -154,6 +156,22 @@ class CFG:
         for b in self.blocks:
             for instr, loc in b.instrs:
                 yield b.bid, instr, loc
+
+    def positions(self) -> Tuple[Dict[int, Tuple[int, int]], List[List[int]]]:
+        """``id(instr) -> (block id, index)`` and, per block, the sorted
+        indices of its barriers; built on first use."""
+        if self._positions is None:
+            where: Dict[int, Tuple[int, int]] = {}
+            barriers: List[List[int]] = []
+            for bid, block in enumerate(self.blocks):
+                bars = []
+                for idx, (instr, _loc) in enumerate(block.instrs):
+                    where[id(instr)] = (bid, idx)
+                    if isinstance(instr, Barrier):
+                        bars.append(idx)
+                barriers.append(bars)
+            self._positions, self._barriers = where, barriers
+        return self._positions, self._barriers
 
     def rpo(self) -> List[int]:
         """Reverse postorder from the entry block."""
@@ -586,18 +604,16 @@ def barrier_free_path(cfg: CFG, a: Instr, b: Instr) -> bool:
     """
     if a is b:
         return True
-    where: Dict[int, Tuple[int, int]] = {}
-    for bid, block in enumerate(cfg.blocks):
-        for idx, (instr, _loc) in enumerate(block.instrs):
-            where[id(instr)] = (bid, idx)
+    where, barriers = cfg.positions()
     if id(a) not in where or id(b) not in where:
         return True  # unknown statements: be conservative
     bid_a, ia = where[id(a)]
     bid_b, ib = where[id(b)]
 
     def clear(bid: int, start: int, stop: Optional[int]) -> bool:
-        seg = cfg.blocks[bid].instrs[start:stop]
-        return not any(isinstance(i, Barrier) for i, _loc in seg)
+        """No barrier at an index in ``[start, stop)`` of block ``bid``."""
+        return not any(start <= i and (stop is None or i < stop)
+                       for i in barriers[bid])
 
     if bid_a == bid_b and ia < ib and clear(bid_a, ia + 1, ib):
         return True

@@ -23,7 +23,12 @@ Design notes:
 * Loops use the classic **directional widening**: a bound that moved
   between iterations widens to ±∞, a stable bound is kept.  This is what
   lets a halving loop (``stride >>= 1`` from ``ls/2``) retain its upper
-  bound while the lower bound is re-sharpened by the loop guard.
+  bound while the lower bound is re-sharpened by the loop guard.  A
+  loop still moving after 10 iterations forgets every register it
+  wrote (back to the type's default interval): keeping the last
+  iteration's state would under-approximate.
+* Joins and loop comparisons are *sparse* (:mod:`.sparse_env`): they
+  visit only the registers an arm or iteration wrote or refined.
 * Branch conditions **refine** intervals in each arm (and in loop
   bodies / after loop exit) through the conjunctive predicate tree, with
   constraints killed when a mentioned register is reassigned (the IR is
@@ -62,6 +67,7 @@ from ...ir.core import (
     While,
 )
 from ...ir.types import DType
+from .sparse_env import SparseEnv
 
 _INT = (DType.U32, DType.I32)
 
@@ -267,8 +273,11 @@ class _Evaluator:
 
     def __init__(self, kernel: Kernel):
         self.kernel = kernel
-        self.env: Dict[int, Interval] = {}
-        self.penv: Dict[int, object] = {}
+        #: intervals (``env``) and predicate trees (``penv``) by id(reg)
+        self.s = SparseEnv()
+        #: id(reg) -> ids of the predicate trees that may mention it; never
+        #: pruned, so a kill re-checks the mention before dropping a tree.
+        self.mentions: Dict[int, set] = {}
         self.regs: Dict[int, VReg] = {}
         #: Monotonic per-register assignment counters; never rolled back,
         #: so a cross-register fact recorded at version v is conservatively
@@ -286,20 +295,28 @@ class _Evaluator:
     # -- environment -------------------------------------------------------
 
     def _get(self, reg: VReg) -> Interval:
-        iv = self.env.get(id(reg))
+        iv = self.s.env.get(id(reg))
         return _default(reg) if iv is None else iv
 
     def _assign(self, dst: VReg, iv: Interval) -> None:
         rid = id(dst)
         self.regs[rid] = dst
-        self.env[rid] = iv
+        self.s.set(rid, iv)
         self.versions[rid] = self.versions.get(rid, 0) + 1
         self.maxinfo.pop(rid, None)
         # Kill predicate trees mentioning the reassigned register: their
         # constraints described the old value.
-        for pid, mention in list(self.penv.items()):
+        penv = self.s.penv
+        for pid in self.mentions.get(rid, ()):
+            mention = penv.get(pid)
             if mention is not None and rid in mention[1]:
-                self.penv[pid] = None
+                self.s.set_pred(pid, None)
+
+    def _set_pred(self, pid: int, mention) -> None:
+        self.s.set_pred(pid, mention)
+        if mention is not None:
+            for rid in mention[1]:
+                self.mentions.setdefault(rid, set()).add(pid)
 
     # -- driver ------------------------------------------------------------
 
@@ -317,75 +334,77 @@ class _Evaluator:
                 self._eval_instr(stmt, record)
 
     def _eval_if(self, stmt: If, record: bool) -> None:
-        pre_env = dict(self.env)
-        pre_penv = dict(self.penv)
+        s = self.s
+        outer = s.open()
         self._refine(stmt.cond, True)
         self._eval_body(stmt.then_body, record)
-        then_env, then_penv = self.env, self.penv
-        self.env, self.penv = dict(pre_env), dict(pre_penv)
+        then_log = s.close(outer)
+        then_vals = {rid: (s.env.get(rid), s.penv.get(rid)) for rid in then_log}
+        s.undo(then_log)
+        s.open()
         self._refine(stmt.cond, False)
         self._eval_body(stmt.else_body, record)
+        else_log = s.close(outer)
 
-        joined: Dict[int, Interval] = {}
-        for rid in set(then_env) | set(self.env):
-            tv = then_env.get(rid)
-            ev = self.env.get(rid)
-            if tv is None:
-                joined[rid] = ev  # defined only in else: uses are guarded
-            elif ev is None:
-                joined[rid] = tv
-            else:
-                joined[rid] = tv.hull(ev)
-        self.env = joined
-        for rid in set(then_penv) | set(self.penv):
-            if self.penv.get(rid) is not then_penv.get(rid):
-                self.penv[rid] = None
+        # Join only what an arm wrote; every other register holds the
+        # same object in both arms.  Both logs are now part of ``outer``.
+        env, penv = s.env, s.penv
+        for rid in then_log.keys() | else_log.keys():
+            tv, tp = then_vals.get(rid) or s.entry(rid, else_log)
+            ev = env.get(rid)
+            if tv is not ev and tv is not None:
+                # Defined only in else (tv None): uses are guarded.
+                env[rid] = tv if ev is None else tv.hull(ev)
+            if penv.get(rid) is not tp:
+                penv[rid] = None
 
     def _eval_while(self, stmt: While, record: bool) -> None:
-        head = dict(self.env)
-        head_penv = dict(self.penv)
+        s = self.s
+        outer = s.open()  # collects every register the loop writes
+        env, penv = s.env, s.penv
         for _ in range(10):
-            self.env = dict(head)
-            self.penv = dict(head_penv)
+            loop_log = s.open()
             self._eval_body(stmt.cond_block, record=False)
             self._refine(stmt.cond, True)
             self._eval_body(stmt.body, record=False)
-            nxt: Dict[int, Interval] = {}
+            # Compare and widen only what this iteration wrote.
+            it_log = s.close(loop_log)
             changed = False
-            for rid in set(head) | set(self.env):
-                old = head.get(rid)
-                new = self.env.get(rid)
+            for rid in it_log:
+                old, old_p = s.entry(rid, it_log)
+                new = env.get(rid)
                 if old is None:
-                    nxt[rid] = new
-                    changed = True
-                elif new is None or old == new:
-                    nxt[rid] = old
+                    changed = changed or new is not None
+                elif new is None or new is old or old == new:
+                    env[rid] = old
                 else:
                     w = old.widen(new)
-                    nxt[rid] = w
+                    env[rid] = w
                     changed = changed or w != old
-            nxt_penv: Dict[int, object] = {}
-            for rid in set(head_penv) | set(self.penv):
-                if head_penv.get(rid) is self.penv.get(rid):
-                    nxt_penv[rid] = head_penv.get(rid)
-                else:
-                    nxt_penv[rid] = None
-                    changed = changed or head_penv.get(rid) is not None
-            head, head_penv = nxt, nxt_penv
+                if old_p is not penv.get(rid):
+                    penv[rid] = None
+                    changed = changed or old_p is not None
             if not changed:
                 break
+        else:
+            # No fixpoint within the cap: a register the loop writes may
+            # still be moving, so forget everything it wrote.
+            for rid in s.log:
+                reg = self.regs.get(rid)
+                if reg is None:
+                    env.pop(rid, None)
+                else:
+                    env[rid] = _default(reg)
+                penv[rid] = None
         # Final recording pass over the widened fixpoint.
-        self.env = dict(head)
-        self.penv = dict(head_penv)
         self._eval_body(stmt.cond_block, record)
-        exit_env = dict(self.env)
-        exit_penv = dict(self.penv)
+        loop_log = s.open()
         self._refine(stmt.cond, True)
         self._eval_body(stmt.body, record)
         # Post-loop state: the loop exits from after the condition block
         # with the condition false.
-        self.env = exit_env
-        self.penv = exit_penv
+        s.undo(s.close(loop_log))
+        s.close(outer)
         self._refine(stmt.cond, False)
 
     # -- branch refinement -------------------------------------------------
@@ -393,28 +412,29 @@ class _Evaluator:
     _NEGATE = {"eq": "ne", "ne": "eq", "lt": "ge", "ge": "lt", "le": "gt", "gt": "le"}
 
     def _refine(self, cond: VReg, polarity: bool) -> None:
-        mention = self.penv.get(id(cond))
+        mention = self.s.penv.get(id(cond))
         if mention is None:
             return
+        put = self.s.set
         for op, ra, rb in self._prims(mention[0], polarity):
             a = self._get(ra)
             b = self._get(rb)
             if op == "eq":
                 meet = a.clamp_lo(b.lo).clamp_hi(b.hi)
-                self.env[id(ra)] = meet
-                self.env[id(rb)] = b.clamp_lo(a.lo).clamp_hi(a.hi)
+                put(id(ra), meet)
+                put(id(rb), b.clamp_lo(a.lo).clamp_hi(a.hi))
             elif op == "lt":
-                self.env[id(ra)] = a.clamp_hi(None if b.hi is None else b.hi - 1)
-                self.env[id(rb)] = b.clamp_lo(None if a.lo is None else a.lo + 1)
+                put(id(ra), a.clamp_hi(None if b.hi is None else b.hi - 1))
+                put(id(rb), b.clamp_lo(None if a.lo is None else a.lo + 1))
             elif op == "le":
-                self.env[id(ra)] = a.clamp_hi(b.hi)
-                self.env[id(rb)] = b.clamp_lo(a.lo)
+                put(id(ra), a.clamp_hi(b.hi))
+                put(id(rb), b.clamp_lo(a.lo))
             elif op == "gt":
-                self.env[id(ra)] = a.clamp_lo(None if b.lo is None else b.lo + 1)
-                self.env[id(rb)] = b.clamp_hi(None if a.hi is None else a.hi - 1)
+                put(id(ra), a.clamp_lo(None if b.lo is None else b.lo + 1))
+                put(id(rb), b.clamp_hi(None if a.hi is None else a.hi - 1))
             elif op == "ge":
-                self.env[id(ra)] = a.clamp_lo(b.lo)
-                self.env[id(rb)] = b.clamp_hi(a.hi)
+                put(id(ra), a.clamp_lo(b.lo))
+                put(id(rb), b.clamp_hi(a.hi))
             # "ne" carries no interval fact.
 
     def _prims(self, tree, polarity: bool) -> List[Tuple[str, VReg, VReg]]:
@@ -452,18 +472,20 @@ class _Evaluator:
             tree = ("cmp", instr.op, instr.a, instr.b)
             mset = frozenset((id(instr.a), id(instr.b)))
             self._assign(instr.dst, Interval.top())
-            self.penv[id(instr.dst)] = (tree, mset)
+            self._set_pred(id(instr.dst), (tree, mset))
             return
+        penv = self.s.penv
         if isinstance(instr, PredOp):
-            a = self.penv.get(id(instr.a))
-            b = self.penv.get(id(instr.b)) if instr.b is not None else None
+            a = penv.get(id(instr.a))
+            b = penv.get(id(instr.b)) if instr.b is not None else None
             self._assign(instr.dst, Interval.top())
             if instr.op == "not" and a is not None:
-                self.penv[id(instr.dst)] = (("not", a[0]), a[1])
+                self._set_pred(id(instr.dst), (("not", a[0]), a[1]))
             elif instr.op in ("and", "or") and a is not None and b is not None:
-                self.penv[id(instr.dst)] = ((instr.op, a[0], b[0]), a[1] | b[1])
+                self._set_pred(
+                    id(instr.dst), ((instr.op, a[0], b[0]), a[1] | b[1]))
             else:
-                self.penv[id(instr.dst)] = None
+                self._set_pred(id(instr.dst), None)
             return
 
         dests = instr.dests()
@@ -472,9 +494,9 @@ class _Evaluator:
         dst = dests[0]
         self._assign(dst, self._value(instr, dst))
         if isinstance(instr, Alu) and instr.op == "mov":
-            self.penv[id(dst)] = self.penv.get(id(instr.a))
+            self._set_pred(id(dst), penv.get(id(instr.a)))
         else:
-            self.penv[id(dst)] = None
+            self._set_pred(id(dst), None)
         if isinstance(instr, Alu) and instr.op == "max" and instr.b is not None:
             # Registered after _assign so the dst-kill does not erase it.
             self.maxinfo[id(dst)] = [
@@ -617,7 +639,8 @@ class _Evaluator:
         self, instr: Instr, kind: str, target: str,
         nelems: Optional[int], index: VReg,
     ) -> None:
-        env = {rid: iv for rid, iv in self.env.items() if not iv.is_top}
+        env = {rid: iv for rid, iv in self.s.env.items()
+               if iv.lo is not None or iv.hi is not None}  # not top
         self.accesses.append(
             AccessRange(
                 instr=instr,

@@ -121,15 +121,22 @@ def checker_names() -> List[str]:
 
 
 def run_lints(
-    kernel: Kernel, checkers: Optional[Sequence[str]] = None
+    kernel: Kernel,
+    checkers: Optional[Sequence[str]] = None,
+    ctx: Optional[LintContext] = None,
 ) -> List[Diagnostic]:
-    """Run the requested checkers (default: all) over one kernel."""
+    """Run the requested checkers (default: all) over one kernel.
+
+    ``ctx`` supplies the analysis context to fill (it must be for
+    ``kernel``), so a caller can reuse the analyses afterwards.
+    """
     registry = _registry()
     names = list(checkers) if checkers is not None else list(registry)
     unknown = [n for n in names if n not in registry]
     if unknown:
         raise KeyError(f"unknown lint checker(s) {unknown}; have {sorted(registry)}")
-    ctx = LintContext(kernel)
+    if ctx is None:
+        ctx = LintContext(kernel)
     out: List[Diagnostic] = []
     for name in names:
         out.extend(registry[name](ctx))
@@ -137,13 +144,16 @@ def run_lints(
 
 
 def check_kernel(
-    kernel: Kernel, checkers: Optional[Sequence[str]] = None
+    kernel: Kernel,
+    checkers: Optional[Sequence[str]] = None,
+    ctx: Optional[LintContext] = None,
 ) -> List[Diagnostic]:
     """Run the lint suite and raise :class:`LintError` on any error.
 
     Returns the full diagnostic list (warnings included) when clean.
+    ``ctx`` is as for :func:`run_lints`.
     """
-    diagnostics = run_lints(kernel, checkers)
+    diagnostics = run_lints(kernel, checkers, ctx)
     if any(d.severity == ERROR for d in diagnostics):
         raise LintError(diagnostics)
     return diagnostics

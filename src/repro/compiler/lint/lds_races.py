@@ -46,6 +46,7 @@ from ...ir.core import (
 )
 from ...ir.types import DType
 from ..analysis.dataflow import barrier_free_path
+from ..analysis.sparse_env import MISSING, SparseEnv
 from .diagnostics import ERROR, WARNING, Diagnostic
 from .engine import WAVEFRONT, LintContext
 from .symbolic import (
@@ -91,13 +92,15 @@ class _Evaluator:
     Loops are handled by widening: registers mutated anywhere in a loop
     are replaced with fresh opaque symbols (uniform ones when the
     uniformity analysis proves them wavefront-uniform) before a final
-    recording pass, so all facts hold for *every* iteration.
+    recording pass, so all facts hold for *every* iteration.  When the
+    10-iteration cap is reached first, every register the loop wrote
+    is widened.  Joins are sparse (:mod:`..analysis.sparse_env`).
     """
 
     def __init__(self, ctx: LintContext):
         self.ctx = ctx
-        self.env: Dict[int, Optional[Affine]] = {}
-        self.penv: Dict[int, object] = {}
+        #: affine values (``env``) and predicate trees (``penv``) by id(reg)
+        self.s = SparseEnv()
         self.regs: Dict[int, VReg] = {}
         self.nonneg: Dict[Tuple, bool] = {}
         self.accesses: List[_Access] = []
@@ -120,6 +123,13 @@ class _Evaluator:
         self.nonneg[key] = nonneg
         return Affine.sym(key)
 
+    def _forget(self, rids) -> None:
+        """Replace each register's value with a fresh opaque symbol."""
+        for rid in rids:
+            reg = self.regs.get(rid)
+            self.s.set(rid, self._opaque(reg) if reg is not None else None)
+            self.s.set_pred(rid, None)
+
     # -- driver ------------------------------------------------------------
 
     def run(self) -> List[_Access]:
@@ -138,76 +148,84 @@ class _Evaluator:
                 self._eval_instr(stmt, guards, record)
 
     def _eval_if(self, stmt: If, guards: Tuple[Constraint, ...], record: bool) -> None:
-        then_g = guards + tuple(self._prims(self.penv.get(id(stmt.cond)), True))
-        else_g = guards + tuple(self._prims(self.penv.get(id(stmt.cond)), False))
-        pre_env = dict(self.env)
-        pre_penv = dict(self.penv)
+        s = self.s
+        then_g = guards + tuple(self._prims(s.penv.get(id(stmt.cond)), True))
+        else_g = guards + tuple(self._prims(s.penv.get(id(stmt.cond)), False))
+        outer = s.open()
         self._eval_body(stmt.then_body, then_g, record)
-        then_env, then_penv = self.env, self.penv
-        self.env, self.penv = dict(pre_env), dict(pre_penv)
+        then_log = s.close(outer)
+        then_vals = {rid: (s.env.get(rid), s.penv.get(rid)) for rid in then_log}
+        s.undo(then_log)
+        s.open()
         self._eval_body(stmt.else_body, else_g, record)
+        else_log = s.close(outer)
 
         def aeq(x: Optional[Affine], y: Optional[Affine]) -> bool:
-            return (x is None and y is None) or (
+            return x is y or (
                 x is not None and y is not None and x == y
             )
 
         # Join: keep values the arms agree on; a register assigned in only
         # one arm keeps that arm's value (its uses are themselves guarded —
         # the undef checker owns the unguarded-use case); disagreeing
-        # reassignments widen to an opaque symbol.
-        for rid in set(then_env) | set(self.env):
-            tv = then_env.get(rid)
-            ev = self.env.get(rid)
+        # reassignments widen to an opaque symbol.  Only registers an arm
+        # wrote can disagree.
+        env, penv = s.env, s.penv
+        for rid in then_log.keys() | else_log.keys():
+            pre, pre_p = s.entry(rid, then_log, else_log)
+            tv, tp = then_vals.get(rid) or (pre, pre_p)
+            ev = env.get(rid)
             if aeq(tv, ev):
-                self.env[rid] = tv
-            elif aeq(ev, pre_env.get(rid)):
-                self.env[rid] = tv
-            elif aeq(tv, pre_env.get(rid)):
-                self.env[rid] = ev
+                env[rid] = tv
+            elif aeq(ev, pre):
+                env[rid] = tv
+            elif aeq(tv, pre):
+                env[rid] = ev
             else:
                 reg = self.regs.get(rid)
-                self.env[rid] = self._opaque(reg) if reg is not None else None
-        for rid in set(then_penv) | set(self.penv):
-            if self.penv.get(rid) is not then_penv.get(rid):
-                self.penv[rid] = None
+                env[rid] = self._opaque(reg) if reg is not None else None
+            if penv.get(rid) is not tp:
+                penv[rid] = None
 
     def _eval_while(
         self, stmt: While, guards: Tuple[Constraint, ...], record: bool
     ) -> None:
+        s = self.s
+        outer = s.open()  # collects every register the loop writes
+        env, penv = s.env, s.penv
         widened: set = set()
         for _ in range(10):
-            snap_env = dict(self.env)
-            snap_penv = dict(self.penv)
+            loop_log = s.open()
             self._eval_body(stmt.cond_block, guards, record=False)
-            body_g = guards + tuple(self._prims(self.penv.get(id(stmt.cond)), True))
+            body_g = guards + tuple(self._prims(penv.get(id(stmt.cond)), True))
             self._eval_body(stmt.body, body_g, record=False)
-            changed = {
-                rid
-                for rid, val in self.env.items()
-                if rid not in snap_env or snap_env[rid] != val
-            }
-            changed |= {
-                rid for rid, val in self.penv.items()
-                if snap_penv.get(rid) is not val
-            }
-            self.env, self.penv = snap_env, snap_penv
+            # Only what this iteration wrote can have changed.
+            it_log = s.close(loop_log)
+            changed = set()
+            for rid, (old, old_p) in it_log.items():
+                if rid in env:
+                    val = env[rid]
+                    if old is MISSING or (old is not val and old != val):
+                        changed.add(rid)
+                if (None if old_p is MISSING else old_p) is not penv.get(rid):
+                    changed.add(rid)
+            s.undo(it_log)
             if changed <= widened:
                 break
             widened |= changed
-            for rid in widened:
-                reg = self.regs.get(rid)
-                self.env[rid] = self._opaque(reg) if reg is not None else None
-                self.penv[rid] = None
+            self._forget(widened)
+        else:
+            # No fixpoint within the cap: a register the loop writes may
+            # still be moving, so every one of them becomes opaque.
+            widened |= s.log.keys()
+            self._forget(widened)
         # Final recording pass over the widened state.
         self._eval_body(stmt.cond_block, guards, record)
-        body_g = guards + tuple(self._prims(self.penv.get(id(stmt.cond)), True))
+        body_g = guards + tuple(self._prims(penv.get(id(stmt.cond)), True))
         self._eval_body(stmt.body, body_g, record)
         # Post-loop state: anything loop-mutated is unknown again.
-        for rid in widened:
-            reg = self.regs.get(rid)
-            self.env[rid] = self._opaque(reg) if reg is not None else None
-            self.penv[rid] = None
+        self._forget(widened)
+        s.close(outer)
 
     # -- instructions ------------------------------------------------------
 
@@ -220,13 +238,14 @@ class _Evaluator:
         for r in (*instr.dests(), *instr.sources()):
             self._note(r)
 
+        env = self.s.env
         if isinstance(instr, (StoreLocal, LoadLocal)) and record:
             self.accesses.append(
                 _Access(
                     instr=instr,
                     alloc=instr.lds,
                     is_store=isinstance(instr, StoreLocal),
-                    expr=self.env.get(id(instr.index)),
+                    expr=env.get(id(instr.index)),
                     guards=guards,
                 )
             )
@@ -235,28 +254,30 @@ class _Evaluator:
         if not dests:
             return
         dst = dests[0]
+        rid = id(dst)
 
         if isinstance(instr, Cmp):
-            a = self.env.get(id(instr.a))
-            b = self.env.get(id(instr.b))
-            self.penv[id(dst)] = (
+            a = env.get(id(instr.a))
+            b = env.get(id(instr.b))
+            self.s.set_pred(rid, (
                 ("cmp", instr.op, a, b) if a is not None and b is not None else None
-            )
-            self.env[id(dst)] = None
+            ))
+            self.s.set(rid, None)
             return
         if isinstance(instr, PredOp):
-            a = self.penv.get(id(instr.a))
-            b = self.penv.get(id(instr.b)) if instr.b is not None else None
-            self.penv[id(dst)] = (instr.op, a, b)
-            self.env[id(dst)] = None
+            penv = self.s.penv
+            a = penv.get(id(instr.a))
+            b = penv.get(id(instr.b)) if instr.b is not None else None
+            self.s.set_pred(rid, (instr.op, a, b))
+            self.s.set(rid, None)
             return
 
-        self.env[id(dst)] = self._eval_value(instr, dst)
+        self.s.set(rid, self._eval_value(instr, dst))
         if isinstance(instr, Alu) and instr.op == "mov":
             # Predicate moves forward the predicate tree too.
-            self.penv[id(dst)] = self.penv.get(id(instr.a))
+            self.s.set_pred(rid, self.s.penv.get(id(instr.a)))
         else:
-            self.penv[id(dst)] = None
+            self.s.set_pred(rid, None)
 
     def _eval_value(self, instr: Instr, dst: VReg) -> Optional[Affine]:
         if isinstance(instr, Const):
@@ -297,7 +318,8 @@ class _Evaluator:
 
     def _alu(self, instr: Alu, dst: VReg) -> Optional[Affine]:
         op = instr.op
-        a = self.env.get(id(instr.a))
+        env = self.s.env
+        a = env.get(id(instr.a))
         if op in ("mov", "bitcast_u32", "bitcast_i32"):
             if op != "mov" and instr.a.dtype not in _AFFINE_INT:
                 return self._opaque(dst)
@@ -306,7 +328,7 @@ class _Evaluator:
             if op == "neg" and a is not None:
                 return a.scale(-1)
             return self._opaque(dst)
-        b = self.env.get(id(instr.b))
+        b = env.get(id(instr.b))
         if a is None or b is None:
             return self._opaque(dst)
         if op == "add":

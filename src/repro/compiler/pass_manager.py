@@ -51,7 +51,9 @@ class PassManager:
     races, definite assignment, RMT SoR coverage) runs once over the
     final kernel as post-pass verification; lint errors raise
     :class:`~repro.compiler.lint.LintError`, a
-    :class:`~repro.ir.verify.VerificationError` subclass.
+    :class:`~repro.ir.verify.VerificationError` subclass.  The analyses
+    it computed stay available as :attr:`lint_context` for later stages
+    of the same compile.
     """
 
     def __init__(
@@ -60,6 +62,8 @@ class PassManager:
         self.passes = list(passes)
         self.verify = verify
         self.lint = lint
+        #: the last run's :class:`~repro.compiler.lint.LintContext`
+        self.lint_context = None
 
     def run(self, kernel: Kernel) -> Kernel:
         """Clone the input, run every pass, verify after each."""
@@ -70,8 +74,10 @@ class PassManager:
             result = p.run(result)
             if self.verify:
                 verify_kernel(result)
+        self.lint_context = None
         if self.lint:
-            from .lint import check_kernel  # lazy: lint imports analyses
+            from .lint import LintContext, check_kernel  # lazy: lint imports analyses
 
-            check_kernel(result)
+            self.lint_context = LintContext(result)
+            check_kernel(result, ctx=self.lint_context)
         return result

@@ -71,14 +71,20 @@ class CompiledKernel:
         return self.kernel.metadata.get("rmt")
 
 
-def _annotate(transformed: Kernel, variant: str) -> CompiledKernel:
+def _annotate(transformed: Kernel, variant: str,
+              lint_context=None) -> CompiledKernel:
     """Backend annotation tail: analyses the simulator consumes.
 
     Factored out so the compile cache can rebuild process-local
     annotations (the uniformity/SoR sets are ``id()``-based and do not
     survive pickling) for a kernel restored from the disk tier.
+    ``lint_context`` is the compile's lint context for ``transformed``,
+    whose uniformity is reused instead of recomputed.
     """
-    uniformity = analyze_uniformity(transformed)
+    if lint_context is not None:
+        uniformity = lint_context.uniformity
+    else:
+        uniformity = analyze_uniformity(transformed)
     resources = estimate_resources(transformed, uniformity)
     sor = analyze_sor(transformed)
     return CompiledKernel(
@@ -172,11 +178,14 @@ def compile_kernel(
         ])
     pm = PassManager(passes, verify=verify, lint=lint and verify)
     transformed = pm.run(kernel)
+    # Lint, TV and the annotations share one set of analyses of the
+    # transformed kernel.
+    ctx = pm.lint_context
     if validate:
         from .tv import validate_compile  # lazy: tv imports the lint suite
 
-        validate_compile(kernel, transformed, variant=variant)
-    compiled = _annotate(transformed, variant)
+        validate_compile(kernel, transformed, variant=variant, context=ctx)
+    compiled = _annotate(transformed, variant, ctx)
     if cache_obj is not None and key is not None:
         cache_obj.store(key, compiled)
     return compiled

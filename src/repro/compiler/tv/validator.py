@@ -156,12 +156,13 @@ class _Validator:
         original: Kernel,
         transformed: Kernel,
         variant: Optional[str],
+        context: Optional[LintContext] = None,
     ):
         self.original = original
         self.transformed = transformed
         self.variant = variant
         self.ctxO = LintContext(original)
-        self.ctxT = LintContext(transformed)
+        self.ctxT = context if context is not None else LintContext(transformed)
         self.rmt = transformed.metadata.get("rmt") or None
         self.mode = self.rmt.get("flavor") if self.rmt else "identity"
         self.include_lds = bool(self.rmt.get("include_lds")) if self.rmt else False
@@ -737,6 +738,7 @@ def validate_compile(
     transformed: Kernel,
     variant: Optional[str] = None,
     raise_on_failure: bool = True,
+    context: Optional[LintContext] = None,
 ) -> TvReport:
     """Statically certify one compile against the simulation relation.
 
@@ -745,8 +747,14 @@ def validate_compile(
     :class:`TvError`; ``unproven`` witnesses never raise — they mark the
     compile as not-certified (``report.ok`` is False) without rejecting
     it, so analysis imprecision cannot break a correct build.
+
+    ``context`` is a :class:`~repro.compiler.lint.LintContext` already
+    built for ``transformed`` (the compile's lint run); its CFG and
+    value ranges are reused instead of recomputed.
     """
-    report = _Validator(original, transformed, variant).run()
+    if context is not None and context.kernel is not transformed:
+        raise ValueError("validate_compile: context is for another kernel")
+    report = _Validator(original, transformed, variant, context).run()
     if raise_on_failure and report.failures:
         raise TvError(report)
     return report

@@ -6,8 +6,8 @@ fine for correctness work, but the dominant Python hot path once fault
 campaigns and fuzz sweeps run thousands of launches.  This module lowers
 a compiled kernel's statement tree once per kernel: every maximal
 straight-line run of side-effect-free instructions (``_PURE_OPS``) is
-compiled — via ``exec`` of generated source — into a single *fused
-block executor* that evaluates the whole run over the 64-lane numpy
+compiled from generated source (:func:`make_closure`) into a single
+*fused block executor* that evaluates the whole run over the 64-lane numpy
 vectors with no per-instruction dispatch, then charges one aggregate
 cost into the pending :class:`~repro.gpu.wavefront.ExecReq`.
 
@@ -54,6 +54,8 @@ from __future__ import annotations
 
 import contextlib
 import os
+import types
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -173,7 +175,7 @@ class FusedBlock:
         self.instrs = tuple(instrs)
         self.n = len(self.instrs)
         self.label = label
-        self.fn = _codegen(self.instrs, label)
+        self.fn = _codegen(self.instrs)
         #: all-lanes-active variant (lazy): plain local rebinding with one
         #: write-back per register instead of a masked copyto per instr.
         self.fn_full = None
@@ -184,8 +186,7 @@ class FusedBlock:
         if mask.all() if full is None else full:
             fn = self.fn_full
             if fn is None:
-                fn = self.fn_full = _codegen(self.instrs, self.label,
-                                             full_mask=True)
+                fn = self.fn_full = _codegen(self.instrs, full_mask=True)
             fn(wave, mask)
         else:
             self.fn(wave, mask)
@@ -200,7 +201,7 @@ class FusedBlock:
         p.n_salu += c[3]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<FusedBlock n={self.n}>"
+        return f"<FusedBlock {self.label} n={self.n}>"
 
 
 class LoweredIf:
@@ -346,7 +347,41 @@ def _block_costs(instrs: Sequence[Instr], ctx) -> Tuple[int, int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _codegen(instrs: Sequence[Instr], label: str, full_mask: bool = False):
+#: Generated source text -> code object of the function it defines.  The
+#: values are weak: an entry lives exactly as long as some closure built
+#: from it, so the memo never outgrows the lowered kernels still alive.
+_CODE_MEMO: "weakref.WeakValueDictionary[str, types.CodeType]" = (
+    weakref.WeakValueDictionary())
+
+#: Generated functions look up no globals: every name arrives in ``_env``.
+_NO_GLOBALS: Dict[str, object] = {}
+
+
+def make_closure(name: str, params: str, body: List[str],
+                 env: Dict[str, object], filename: str):
+    """``def name(params)`` running ``body`` with ``env``'s names as locals.
+
+    Generated code names every per-block value (register ids, constants,
+    dtypes, semantic functions, helpers) through ``env``, so the source
+    text depends only on the block's shape and structurally equal blocks
+    of any kernel share one code object.  The values arrive as one
+    defaulted ``_env`` argument, unpacked into locals on entry: globals
+    would differ per block, and a shared code object run under many
+    globals dictionaries keeps missing the interpreter's per-instruction
+    global-lookup caches, which slowed suite launches by 1-2%.
+    """
+    src = "\n".join([f"def {name}({params}, _env=None):",
+                     f"    {', '.join(env)}, = _env", *body])
+    code = _CODE_MEMO.get(src)
+    if code is None:
+        module = compile(src, filename, "exec")
+        code = next(c for c in module.co_consts
+                    if isinstance(c, types.CodeType))
+        _CODE_MEMO[src] = code
+    return types.FunctionType(code, _NO_GLOBALS, name, (tuple(env.values()),))
+
+
+def _codegen(instrs: Sequence[Instr], full_mask: bool = False):
     """Compile one pure-op run into a ``fn(wave, mask)`` closure.
 
     Registers are fetched once into locals (they are mutated in place by
@@ -364,6 +399,8 @@ def _codegen(instrs: Sequence[Instr], label: str, full_mask: bool = False):
     order (hence ``wave.regs`` dict insertion order, which fault
     injection's register enumeration depends on) is first-reference
     order in both variants, identical to the reference interpreter.
+    Register ids enter the source as ``R<n>`` names bound from ``env``,
+    never as literals (see :func:`make_closure`).
     """
     env: Dict[str, object] = {"_cp": np.copyto, "_reg": _reg_arr, "_where": np.where}
     reg_names: Dict[int, str] = {}
@@ -377,15 +414,16 @@ def _codegen(instrs: Sequence[Instr], label: str, full_mask: bool = False):
         rid = id(reg)
         nm = reg_names.get(rid)
         if nm is None:
-            nm = f"r{len(reg_names)}"
-            dt = f"d{len(reg_names)}"
+            n = len(reg_names)
+            nm, dt = f"r{n}", f"d{n}"
             reg_names[rid] = nm
             reg_dts[rid] = dt
             env[dt] = reg.dtype.np_dtype
+            env[f"R{n}"] = rid
             if full_mask:
-                prologue.append(f"    g{nm} = {nm} = _reg(regs, {rid}, {dt})")
+                prologue.append(f"    g{nm} = {nm} = _reg(regs, R{n}, {dt})")
             else:
-                prologue.append(f"    {nm} = _reg(regs, {rid}, {dt})")
+                prologue.append(f"    {nm} = _reg(regs, R{n}, {dt})")
         return nm
 
     def emit(dst, expr: str, checked: bool = True) -> None:
@@ -460,13 +498,9 @@ def _codegen(instrs: Sequence[Instr], label: str, full_mask: bool = False):
             raise TypeError(f"cannot fuse {ins!r}")
 
     epilogue = [f"    g{nm}[:] = {nm}" for nm in written] if full_mask else []
-    src = "\n".join(
-        ["def _fused(wave, mask):", "    regs = wave.regs"]
-        + prologue + lines + epilogue
-    )
-    code = compile(src, f"<fused:{label}>", "exec")
-    exec(code, env)  # noqa: S102 - source is generated from trusted IR
-    return env["_fused"]
+    return make_closure("_fused", "wave, mask",
+                        ["    regs = wave.regs"] + prologue + lines + epilogue,
+                        env, "<fused>")
 
 
 # ---------------------------------------------------------------------------

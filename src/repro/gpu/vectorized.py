@@ -88,6 +88,7 @@ from .fused import (
     LoweredWhile,
     _block_costs,
     lower_kernel,
+    make_closure,
 )
 from .schedule import DefaultScheduler, EventScheduler
 from .wavefront import (
@@ -238,8 +239,7 @@ def _collect_refs(items, refs: Dict[int, set]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _codegen2d(instrs, label: str, full_mask: bool,
-               refs: Dict[int, set], bid: int):
+def _codegen2d(instrs, full_mask: bool, refs: Dict[int, set], bid: int):
     """Compile one pure-op run into ``fn(store, rows, masks, waves)``.
 
     The 2-D twin of :func:`repro.gpu.fused._codegen`: registers a block
@@ -256,7 +256,9 @@ def _codegen2d(instrs, label: str, full_mask: bool,
     convergent case; the general variant replicates the reference
     masked-write semantics exactly.  Elementwise numpy ops are
     per-element bit-deterministic regardless of array shape, so both
-    variants match the 1-D path bitwise.
+    variants match the 1-D path bitwise.  As there, register ids are
+    ``R<n>`` names bound from ``env``, so equal block shapes share one
+    code object.
     """
     env: Dict[str, object] = {
         "_cp": np.copyto, "_where": np.where, "_stack": np.stack,
@@ -264,6 +266,7 @@ def _codegen2d(instrs, label: str, full_mask: bool,
     }
     reg_names: Dict[int, str] = {}
     reg_dts: Dict[int, str] = {}
+    reg_rn: Dict[int, str] = {}
     read_first: set = set()
     written: List[int] = []
     prologue: List[str] = []
@@ -279,16 +282,18 @@ def _codegen2d(instrs, label: str, full_mask: bool,
         dt = f"d{n}"
         reg_names[rid] = nm
         reg_dts[rid] = dt
+        rn = reg_rn[rid] = f"R{n}"
         env[dt] = reg.dtype.np_dtype
+        env[rn] = rid
         if is_read:
             read_first.add(rid)
-            prologue.append(f"    {nm} = _gat(store, {rid}, {dt}, rows)")
+            prologue.append(f"    {nm} = _gat(store, {rn}, {dt}, rows)")
         elif not full_mask:
             # Write-first under a partial mask: masked copyto needs the
             # previous values for inactive lanes — real ones if the
             # register escapes, placeholders if it is block-local.
             if escapes(rid):
-                prologue.append(f"    {nm} = _gat(store, {rid}, {dt}, rows)")
+                prologue.append(f"    {nm} = _gat(store, {rn}, {dt}, rows)")
             else:
                 prologue.append(
                     f"    {nm} = _zeros((rows.shape[0], {WAVE}), {dt})")
@@ -377,16 +382,12 @@ def _codegen2d(instrs, label: str, full_mask: bool,
             raise TypeError(f"cannot vectorize {ins!r}")
 
     epilogue = [
-        f"    _sca(store, {rid}, {reg_dts[rid]}, rows, {reg_names[rid]})"
+        f"    _sca(store, {reg_rn[rid]}, {reg_dts[rid]}, rows, {reg_names[rid]})"
         for rid in written
         if escapes(rid) or rid in read_first
     ]
-    src = "\n".join(
-        ["def _vec(store, rows, masks, waves):"] + prologue + lines + epilogue
-    )
-    code = compile(src, f"<vec:{label}>", "exec")
-    exec(code, env)  # noqa: S102 - source is generated from trusted IR
-    return env["_vec"]
+    return make_closure("_vec", "store, rows, masks, waves",
+                        prologue + lines + epilogue, env, "<vec>")
 
 
 def _vec_info(kernel, prog) -> Dict[str, object]:
@@ -595,7 +596,7 @@ class _Coordinator:
         fn = self.fns.get(key)
         if fn is None:
             fn = self.fns[key] = _codegen2d(
-                block.instrs, f"b{bid}", full, self.refs, bid)
+                block.instrs, full, self.refs, bid)
         fn(self.store, rows, masks, waves)
         # Aggregate cost accounting, identical to FusedBlock.execute.
         ctx = waves[0].ctx

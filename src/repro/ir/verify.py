@@ -106,7 +106,8 @@ class _Checker:
 
     def check_instr(self, instr: Instr, defined: Set[int]) -> None:
         for src in instr.sources():
-            self._check_read(src, defined, f"{instr!r}")
+            if id(src) not in defined:  # message built only on failure
+                self._check_read(src, defined, f"{instr!r}")
         if isinstance(instr, LoadParam):
             if id(instr.param) not in self.param_set:
                 self._err(f"{instr!r} references undeclared parameter")
