@@ -11,7 +11,7 @@ from .config import DEFAULT_POWER, HD7790, GpuConfig, PowerConfig
 from .counters import CounterReport, KernelCounters, merge_counters
 from .device import Device, DeviceRunStats
 from .engine import Engine, LaunchResult, SimulationError
-from .memory import CacheModel, DeviceBuffer, GlobalMemory, coalesce_lines
+from .memory import CacheModel, DeviceBuffer, GlobalMemory
 from .occupancy import KernelResources, Occupancy, SchedulingError, compute_occupancy
 from .power import PowerReport, estimate_power
 from .schedule import (
@@ -49,7 +49,6 @@ __all__ = [
     "SchedulingError",
     "SimulationError",
     "Wavefront",
-    "coalesce_lines",
     "compute_occupancy",
     "estimate_power",
     "merge_counters",

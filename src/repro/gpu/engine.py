@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import GpuConfig
 from .counters import KernelCounters
-from .memory import CacheModel, GlobalMemory, coalesce_lines
+from .memory import CacheModel, GlobalMemory, GlobalPattern, global_pattern
 from .occupancy import KernelResources, Occupancy, compute_occupancy
 from .schedule import DefaultScheduler, Scheduler
 from .wavefront import (
@@ -355,24 +355,37 @@ class Engine:
         return start + busy
 
     def _do_global(self, wave: Wavefront, req: GlobalReq, t: float):
-        if wave.ctx.fault_hook is not None:
+        # One memoized lane analysis (DESIGN.md §18) serves the bounds
+        # check, the coalesced lines and the atomic's distinctness test.
+        cfg = self.config
+        op = req.op
+        buf = req.buf
+        ctx = wave.ctx
+        line_bytes = cfg.l2_line_bytes if op == "atomic" else cfg.l1_line_bytes
+        i0, line0, pat = global_pattern(ctx.access_patterns, buf,
+                                        req.indices, line_bytes)
+        size = buf.data.size
+        if i0 + pat.lo < 0 or i0 + pat.hi >= size:
+            if ctx.fault_hook is None:
+                raise IndexError(
+                    f"out-of-bounds access to buffer {buf.name!r}: "
+                    f"indices in [{i0 + pat.lo}, {i0 + pat.hi}], size {size}"
+                )
             # Under fault injection a flipped address register may point
             # anywhere; real hardware would issue the wild access.  Model
             # it as a wrap within the buffer and record the event so
-            # campaigns can classify the run.  In range the wrap is the
-            # identity, so it only runs when an index leaves the buffer.
-            size = req.buf.data.size
-            idx = req.indices
-            if idx.size and (idx.min() < 0 or idx.max() >= size):
-                self.oob_events += 1
-                req.indices = idx % size
-        if req.op == "load":
-            return self._do_load(wave, req, t)
-        if req.op == "sload":
+            # campaigns can classify the run.
+            self.oob_events += 1
+            req.indices = req.indices % size
+            i0, line0, pat = global_pattern(ctx.access_patterns, buf,
+                                            req.indices, line_bytes)
+        if op == "load":
+            return self._do_load(wave, req, t, line0, pat)
+        if op == "sload":
             return self._do_scalar_load(wave, req, t)
-        if req.op == "store":
-            return self._do_store(wave, req, t)
-        return self._do_atomic(wave, req, t)
+        if op == "store":
+            return self._do_store(wave, req, t, line0, pat)
+        return self._do_atomic(wave, req, t, line0, pat)
 
     def _do_scalar_load(self, wave: Wavefront, req: GlobalReq, t: float):
         """Wavefront-uniform load through the scalar unit / constant cache.
@@ -388,16 +401,15 @@ class Engine:
         cu.salu_free = start + cfg.salu_latency
         c.salu.add(start, start + cfg.salu_latency)
         c.salu_instructions += 1
-        data = self.mem.read(req.buf, req.indices)
+        data = req.buf.data[req.indices]
         return start + cfg.salu_latency + cfg.l1_hit_latency / 2.0, data
 
-    def _do_load(self, wave: Wavefront, req: GlobalReq, t: float):
+    def _do_load(self, wave: Wavefront, req: GlobalReq, t: float,
+                 line0: int, pat: GlobalPattern):
         cfg = self.config
         cu = self._cu(wave)
         c = self.counters
-        addrs = req.buf.addresses(req.indices)
-        lines = coalesce_lines(addrs, cfg.l1_line_bytes)
-        ntx = len(lines)
+        ntx = len(pat.lines)
         start = max(t, cu.mem_free)
         issue = cfg.mem_issue_cycles_per_instr + ntx * cfg.mem_issue_cycles_per_tx
         cu.mem_free = start + issue
@@ -407,8 +419,8 @@ class Engine:
 
         l1 = self.l1s[wave.cu]
         max_done = start + issue
-        for line in lines:
-            line = int(line)
+        for line in pat.lines:
+            line += line0
             hit, _ = l1.access(line)
             if hit:
                 c.l1_hits += 1
@@ -434,16 +446,14 @@ class Engine:
                     done = dstart + cfg.dram_latency
             if done > max_done:
                 max_done = done
-        data = self.mem.read(req.buf, req.indices)
-        return max_done, data
+        return max_done, req.buf.data[req.indices]
 
-    def _do_store(self, wave: Wavefront, req: GlobalReq, t: float):
+    def _do_store(self, wave: Wavefront, req: GlobalReq, t: float,
+                  line0: int, pat: GlobalPattern):
         cfg = self.config
         cu = self._cu(wave)
         c = self.counters
-        addrs = req.buf.addresses(req.indices)
-        lines = coalesce_lines(addrs, cfg.l1_line_bytes)
-        ntx = len(lines)
+        ntx = len(pat.lines)
         start = max(t, cu.mem_free)
         issue = cfg.mem_issue_cycles_per_instr + ntx * cfg.mem_issue_cycles_per_tx
         c.mem_transactions += ntx
@@ -454,8 +464,8 @@ class Engine:
         # stores saturate DRAM while hot lines (e.g. RMT communication
         # buffers) stay on chip.
         drain = start
-        for line in lines:
-            line = int(line)
+        for line in pat.lines:
+            line += line0
             bank = line % cfg.l2_banks
             bstart = max(start, self._l2_bank_free[bank])
             self._l2_bank_free[bank] = bstart + (
@@ -481,12 +491,13 @@ class Engine:
         c.mem.add(start, start + issue)
         if stall > 0:
             c.write_stall.add(start + issue, end)
-        self.mem.write(req.buf, req.indices, req.values)
+        req.buf.data[req.indices] = req.values
         if wave.ctx.livelock is not None:
             wave.ctx.livelock.epoch += 1
         return end, None
 
-    def _do_atomic(self, wave: Wavefront, req: GlobalReq, t: float):
+    def _do_atomic(self, wave: Wavefront, req: GlobalReq, t: float,
+                   line0: int, pat: GlobalPattern):
         cfg = self.config
         cu = self._cu(wave)
         c = self.counters
@@ -503,7 +514,8 @@ class Engine:
 
         # Cold atomic targets fill from (and eventually write back to)
         # DRAM like any other dirty line.
-        for line in sorted({a // lb for a in addrs}):
+        for line in pat.lines:
+            line += line0
             hit, writeback = self.l2.access(line, write=True)
             if hit:
                 c.l2_hits += 1
@@ -550,7 +562,8 @@ class Engine:
             if done > max_done:
                 max_done = done
         self._atomic_unit_free = unit_free
-        old = self.mem.atomic(req.atomic_op, req.buf, req.indices, req.values, req.compares)
+        old = self.mem.atomic(req.atomic_op, req.buf, req.indices, req.values,
+                              req.compares, distinct=pat.distinct)
         # Every lane reading back its own old value, bit for bit, means
         # no word changed (an add of 0, an xchg or cmpxchg that stored
         # what was there).

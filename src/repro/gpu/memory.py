@@ -6,13 +6,18 @@ set-associative tag models (write-through per-CU L1, shared L2) can
 classify each 64-byte line transaction as an L1 hit, L2 hit, or DRAM
 access — the classification the timing engine turns into latency and
 bandwidth consumption.
+
+Which lines a vector access touches, its index bounds, its LDS bank
+passes and whether its lanes are distinct all follow from the lane
+pattern; :func:`global_pattern` and :func:`lds_pattern` derive them
+once per pattern per launch (DESIGN.md §18).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +50,11 @@ class DeviceBuffer:
 
 
 class GlobalMemory:
-    """Allocator + functional access for the flat global address space."""
+    """Allocator for the flat global address space, plus the atomic RMW.
+
+    Plain loads and stores index ``DeviceBuffer.data`` directly once the
+    engine has bounds-checked the request.
+    """
 
     _LINE_ALIGN = 256
 
@@ -62,14 +71,6 @@ class GlobalMemory:
         self.buffers[name] = buf
         return buf
 
-    def read(self, buf: DeviceBuffer, indices: np.ndarray) -> np.ndarray:
-        self._bounds_check(buf, indices)
-        return buf.data[indices]
-
-    def write(self, buf: DeviceBuffer, indices: np.ndarray, values: np.ndarray) -> None:
-        self._bounds_check(buf, indices)
-        buf.data[indices] = values
-
     def atomic(
         self,
         op: str,
@@ -77,21 +78,21 @@ class GlobalMemory:
         indices: np.ndarray,
         values: np.ndarray,
         compares: Optional[np.ndarray] = None,
+        distinct: bool = False,
     ) -> np.ndarray:
         """Apply a lane-ordered atomic RMW; returns old values per lane.
 
-        When every lane names a distinct element (and the operands share
-        the buffer's dtype, so no promotion differs between scalar and
-        array arithmetic) the lanes cannot observe each other and the
-        RMW runs as one numpy gather/compute/scatter; lanes that collide
-        on an element keep the sequential lane loop.
+        ``indices`` must be in bounds (the engine checks them once per
+        request).  When the caller vouches that every lane names a
+        distinct element (``distinct``, the access pattern's flag) and
+        the operands share the buffer's dtype, so no promotion differs
+        between scalar and array arithmetic, the lanes cannot observe
+        each other and the RMW runs as one numpy gather/compute/scatter;
+        otherwise it keeps the sequential lane loop.
         """
-        self._bounds_check(buf, indices)
         data = buf.data
-        if (data.dtype == values.dtype
-                and (compares is None or compares.dtype == data.dtype)
-                and (indices.size == 1
-                     or np.unique(indices).size == indices.size)):
+        if (distinct and data.dtype == values.dtype
+                and (compares is None or compares.dtype == data.dtype)):
             old = data[indices]
             if op == "add":
                 data[indices] = old + values
@@ -127,27 +128,95 @@ class GlobalMemory:
                 raise ValueError(f"unknown atomic op {op!r}")
         return old
 
-    @staticmethod
-    def _bounds_check(buf: DeviceBuffer, indices: np.ndarray) -> None:
-        if indices.size == 0:
-            return
-        lo = int(indices.min())
-        hi = int(indices.max())
-        if lo < 0 or hi >= buf.data.size:
-            raise IndexError(
-                f"out-of-bounds access to buffer {buf.name!r}: "
-                f"indices in [{lo}, {hi}], size {buf.data.size}"
-            )
 
+class GlobalPattern(NamedTuple):
+    """Lane analysis of one vector global access, relative to lane 0.
 
-def coalesce_lines(addresses: np.ndarray, line_bytes: int) -> np.ndarray:
-    """Unique cache-line addresses touched by a vector memory operation.
-
-    This is the GCN coalescing model: a 64-lane access to consecutive
-    32-bit elements touches 4 lines; a fully scattered access touches up
-    to 64.
+    ``lo``/``hi`` bound the element indices minus lane 0's index,
+    ``lines`` holds the sorted distinct cache lines touched minus lane
+    0's line, and ``distinct`` says no two lanes name one element.
     """
-    return np.unique(addresses // line_bytes)
+
+    lo: int
+    hi: int
+    lines: Tuple[int, ...]
+    distinct: bool
+
+
+class LdsPattern:
+    """Lane analysis of one LDS access, relative to lane 0.
+
+    ``passes`` (serialized bank-conflict passes) stays ``None`` until
+    an in-bounds access with this pattern fills it in; see
+    :func:`bank_passes`.
+    """
+
+    __slots__ = ("lo", "hi", "passes")
+
+    def __init__(self, lo: int, hi: int):
+        self.lo = lo
+        self.hi = hi
+        self.passes: Optional[int] = None
+
+
+def global_pattern(
+    memo: dict, buf: DeviceBuffer, indices: np.ndarray, line_bytes: int
+) -> Tuple[int, int, GlobalPattern]:
+    """Analyse a global access's int64 lane indices through ``memo``.
+
+    Returns ``(i0, line0, pattern)``: lane 0's element index, lane 0's
+    cache line, and the shift-normalised :class:`GlobalPattern`.  Lane
+    ``i``'s byte address is ``line0 * line_bytes + residue + rel[i] *
+    elem_bytes``, with ``rel = indices - i0`` and ``residue`` lane 0's
+    offset within its line, so the lines relative to ``line0`` depend
+    only on ``rel``, the element size, the line size and the residue:
+    that is the memo key.  This is the GCN coalescing model — a 64-lane
+    access to consecutive 32-bit elements touches 4 lines, a fully
+    scattered one up to 64.
+    """
+    i0 = int(indices[0])
+    eb = buf.elem_bytes
+    line0, residue = divmod(buf.base_addr + i0 * eb, line_bytes)
+    rel = indices - i0
+    key = (rel.tobytes(), eb, line_bytes, residue)
+    pat = memo.get(key)
+    if pat is None:
+        pat = memo[key] = GlobalPattern(
+            int(rel.min()), int(rel.max()),
+            tuple(np.unique((residue + rel * eb) // line_bytes).tolist()),
+            np.unique(rel).size == rel.size)
+    return i0, line0, pat
+
+
+def lds_pattern(memo: dict, indices: np.ndarray,
+                banks: int) -> Tuple[int, LdsPattern]:
+    """Analyse an LDS access's int64 lane indices through ``memo``.
+
+    Returns lane 0's index and the shift-normalised :class:`LdsPattern`
+    (keyed on ``indices - i0`` and the bank count).
+    """
+    i0 = int(indices[0])
+    rel = indices - i0
+    key = (rel.tobytes(), banks)
+    pat = memo.get(key)
+    if pat is None:
+        pat = memo[key] = LdsPattern(int(rel.min()), int(rel.max()))
+    return i0, pat
+
+
+def bank_passes(indices: np.ndarray, banks: int) -> int:
+    """Serialized LDS passes of an access (``banks`` banks, 4 B wide).
+
+    Broadcasts (same address) do not conflict, so the pass count is the
+    largest number of *distinct* addresses mapping to one bank.  A
+    uniform shift of every index permutes the banks cyclically, so the
+    count is a property of the shift-normalised pattern.
+
+    ``indices`` must be in bounds (checked or fault-wrapped): the
+    ``bincount`` passes allocate by the largest index.
+    """
+    distinct = np.flatnonzero(np.bincount(indices))
+    return int(np.bincount(distinct % banks).max())
 
 
 class CacheModel:

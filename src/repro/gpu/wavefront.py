@@ -42,7 +42,7 @@ from ..ir.core import (
 )
 from ..ir.core import TRANSCENDENTAL_OPS
 from ..ir.types import DType
-from .memory import DeviceBuffer
+from .memory import DeviceBuffer, bank_passes, lds_pattern
 
 WAVE = 64
 _LANES = np.arange(WAVE)
@@ -160,6 +160,9 @@ class LaunchContext:
         self.livelock = None
         #: per-launch cache of broadcast immediates (shared by all waves)
         self.broadcast_cache: Dict[int, np.ndarray] = {}
+        #: per-launch memo of vector-access lane analyses, keyed by the
+        #: shift-normalised index vector (DESIGN.md §18)
+        self.access_patterns: Dict[tuple, object] = {}
         #: lowered fused program (see :mod:`repro.gpu.fused`), or None to
         #: interpret per-instruction
         self.fused = None
@@ -434,24 +437,24 @@ class Wavefront:
             if mask.any():
                 arr = self.group.lds[instr.lds.name]
                 idx = self.read(instr.index)[mask].astype(np.int64)
-                idx = self._lds_bounds(instr.lds.name, arr, idx)
+                idx, passes = self._lds_access(instr.lds.name, arr.size, idx)
                 out = np.zeros(WAVE, dtype=instr.dst.dtype.np_dtype)
                 out[mask] = arr[idx]
                 self.write(instr.dst, out, mask)
                 if self._has_pending():
                     yield self._flush()
-                yield LdsReq("load", self._bank_passes(idx), int(mask.sum()))
+                yield LdsReq("load", passes, int(mask.sum()))
         elif cls is StoreLocal:
             if mask.any():
                 arr = self.group.lds[instr.lds.name]
                 idx = self.read(instr.index)[mask].astype(np.int64)
-                idx = self._lds_bounds(instr.lds.name, arr, idx)
+                idx, passes = self._lds_access(instr.lds.name, arr.size, idx)
                 arr[idx] = self.read(instr.value)[mask].astype(arr.dtype)
                 if self.ctx.livelock is not None:
                     self.ctx.livelock.epoch += 1
                 if self._has_pending():
                     yield self._flush()
-                yield LdsReq("store", self._bank_passes(idx), int(mask.sum()))
+                yield LdsReq("store", passes, int(mask.sum()))
         elif cls is Barrier:
             if self._has_pending():
                 yield self._flush()
@@ -525,33 +528,31 @@ class Wavefront:
             return np.full(WAVE, self.ctx.num_groups[d], dtype=np.uint32)
         raise ValueError(kind)  # pragma: no cover
 
-    def _bank_passes(self, indices: np.ndarray) -> int:
-        """Serialized LDS passes due to bank conflicts (32 banks, 4 B wide).
+    def _lds_access(self, name: str, size: int,
+                    idx: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Bounds-check an LDS access; return its indices and bank passes.
 
-        Broadcasts (same address) do not conflict, so the pass count is
-        the largest number of *distinct* addresses mapping to one bank.
-
-        LDS indices are bounds-checked (or fault-wrapped) before this is
-        called, so they are small non-negative ints: two ``bincount``
-        passes find the distinct addresses and their per-bank
-        multiplicity without ``np.unique``'s sort machinery.
+        The lane analysis comes from the launch's access memo (DESIGN.md
+        §18).  Bank passes are computed only after the check or the
+        wrap, so a wild index never sizes an allocation.
         """
-        if not indices.size:
-            return 1
-        distinct = np.flatnonzero(np.bincount(indices))
-        return int(np.bincount(distinct % self.ctx.config.lds_banks).max())
-
-    def _lds_bounds(self, name: str, arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        if idx.size and (idx.min() < 0 or idx.max() >= arr.size):
-            if self.ctx.fault_hook is not None:
-                # Wild LDS access caused by an injected upset: wrap it the
-                # way the hardware's address masking would.
-                return idx % arr.size
-            raise IndexError(
-                f"out-of-bounds LDS access to {name!r}: "
-                f"indices in [{idx.min()}, {idx.max()}], size {arr.size}"
-            )
-        return idx
+        ctx = self.ctx
+        memo = ctx.access_patterns
+        banks = ctx.config.lds_banks
+        i0, pat = lds_pattern(memo, idx, banks)
+        if i0 + pat.lo < 0 or i0 + pat.hi >= size:
+            if ctx.fault_hook is None:
+                raise IndexError(
+                    f"out-of-bounds LDS access to {name!r}: "
+                    f"indices in [{i0 + pat.lo}, {i0 + pat.hi}], size {size}"
+                )
+            # Wild LDS access caused by an injected upset: wrap it the
+            # way the hardware's address masking would.
+            idx = idx % size
+            i0, pat = lds_pattern(memo, idx, banks)
+        if pat.passes is None:
+            pat.passes = bank_passes(idx, banks)
+        return idx, pat.passes
 
 
 # ---------------------------------------------------------------------------

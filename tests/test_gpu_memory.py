@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gpu.memory import CacheModel, DeviceBuffer, GlobalMemory, coalesce_lines
+from repro.gpu.memory import CacheModel, DeviceBuffer, GlobalMemory, global_pattern
 
 
 class TestGlobalMemory:
@@ -20,21 +20,6 @@ class TestGlobalMemory:
         b = gm.alloc("b", np.zeros(100, dtype=np.float32))
         a_end = a.base_addr + a.nbytes
         assert b.base_addr >= a_end
-
-    def test_read_write(self):
-        gm = GlobalMemory()
-        buf = gm.alloc("a", np.zeros(16, dtype=np.uint32))
-        gm.write(buf, np.array([3, 5]), np.array([30, 50], dtype=np.uint32))
-        out = gm.read(buf, np.array([5, 3]))
-        np.testing.assert_array_equal(out, [50, 30])
-
-    def test_out_of_bounds_raises(self):
-        gm = GlobalMemory()
-        buf = gm.alloc("a", np.zeros(4, dtype=np.uint32))
-        with pytest.raises(IndexError, match="out-of-bounds"):
-            gm.read(buf, np.array([4]))
-        with pytest.raises(IndexError):
-            gm.write(buf, np.array([-1]), np.array([0], dtype=np.uint32))
 
     def test_atomic_add_returns_old(self):
         gm = GlobalMemory()
@@ -79,17 +64,22 @@ class TestGlobalMemory:
 
 
 class TestCoalescing:
+    """Line counts of the GCN coalescing model (``global_pattern``)."""
+
+    @staticmethod
+    def _ntx(indices):
+        buf = DeviceBuffer("x", np.zeros(1, dtype=np.float32), 0x1000)
+        _i0, _line0, pat = global_pattern({}, buf, indices, 64)
+        return len(pat.lines)
+
     def test_consecutive_lanes_few_lines(self):
-        addrs = 0x1000 + 4 * np.arange(64)
-        assert len(coalesce_lines(addrs, 64)) == 4
+        assert self._ntx(np.arange(64, dtype=np.int64)) == 4
 
     def test_scattered_lanes_many_lines(self):
-        addrs = 0x1000 + 256 * np.arange(64)
-        assert len(coalesce_lines(addrs, 64)) == 64
+        assert self._ntx(64 * np.arange(64, dtype=np.int64)) == 64
 
     def test_broadcast_single_line(self):
-        addrs = np.full(64, 0x1000)
-        assert len(coalesce_lines(addrs, 64)) == 1
+        assert self._ntx(np.zeros(64, dtype=np.int64)) == 1
 
 
 class TestCacheModel:

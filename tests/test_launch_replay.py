@@ -282,8 +282,8 @@ def test_cache_snapshot_restore_roundtrip():
 @pytest.mark.parametrize("op", ["add", "or", "max", "xchg", "cmpxchg"])
 def test_atomic_unique_lanes_match_lane_loop(op):
     """The one-shot RMW for distinct indices equals the lane loop it
-    replaces (forced here through duplicate-free dtype-mismatched
-    operands, which keep the loop)."""
+    replaces (forced here through dtype-mismatched operands, which keep
+    the loop even when the caller vouches the lanes are distinct)."""
     rng = np.random.default_rng(1)
     init = rng.integers(0, 1 << 20, 64).astype(np.uint32)
     idx = rng.permutation(64)[:40].astype(np.int64)
@@ -292,10 +292,10 @@ def test_atomic_unique_lanes_match_lane_loop(op):
     cmps[::3] += 1
     mem = GlobalMemory()
     fast = mem.alloc("fast", init)
-    old_fast = mem.atomic(op, fast, idx, vals, cmps)
+    old_fast = mem.atomic(op, fast, idx, vals, cmps, distinct=True)
     slow = mem.alloc("slow", init)
     old_slow = mem.atomic(op, slow, idx, vals.astype(np.int64),
-                          cmps.astype(np.int64))
+                          cmps.astype(np.int64), distinct=True)
     np.testing.assert_array_equal(fast.data, slow.data)
     np.testing.assert_array_equal(old_fast, old_slow.astype(np.uint32))
 

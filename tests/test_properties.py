@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.compiler import RMT_VARIANTS, compile_kernel
 from repro.eval.ecc import secded_check_bits
 from repro.gpu.counters import BusyTracker
-from repro.gpu.memory import CacheModel, coalesce_lines
+from repro.gpu.memory import CacheModel
 from repro.ir import DType, KernelBuilder
 from repro.ir.types import bitcast_from_u32, bitcast_to_u32
 from repro.runtime import Session
@@ -89,19 +89,6 @@ def test_bitcast_u32_roundtrip(values):
     arr = np.array(values, dtype=np.uint32)
     back = bitcast_to_u32(bitcast_from_u32(arr, DType.F32))
     np.testing.assert_array_equal(back, arr)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(st.integers(0, 2**20), min_size=1, max_size=64),
-    st.sampled_from([32, 64, 128]),
-)
-def test_coalesce_lines_bounds(addresses, line):
-    addrs = np.array(addresses, dtype=np.int64) * 4
-    lines = coalesce_lines(addrs, line)
-    assert 1 <= len(lines) <= len(addresses)
-    # every address is covered by some returned line
-    assert set(addrs // line) == set(int(x) for x in lines)
 
 
 @settings(max_examples=30, deadline=None)
