@@ -32,6 +32,9 @@ class LintContext:
         self._intervals: Optional[BarrierIntervals] = None
         self._rdefs: Optional[ReachingDefs] = None
         self._ranges: Optional[RangeAnalysis] = None
+        #: each checker's diagnostics from :func:`run_lints`, by checker
+        #: name, for later stages (TV reads ``sor-coverage``)
+        self.results: Dict[str, List[Diagnostic]] = {}
 
     @property
     def cfg(self) -> CFG:
@@ -139,7 +142,8 @@ def run_lints(
         ctx = LintContext(kernel)
     out: List[Diagnostic] = []
     for name in names:
-        out.extend(registry[name](ctx))
+        ctx.results[name] = registry[name](ctx)
+        out.extend(ctx.results[name])
     return normalize_diagnostics(out)
 
 

@@ -519,7 +519,11 @@ class _Validator:
         if self.mode == "identity":
             self._skip(ob)
             return
-        for diag in check_sor_coverage(self.ctxT):
+        # The compile's lint run has usually checked coverage already.
+        diags = self.ctxT.results.get("sor-coverage")
+        if diags is None:
+            diags = check_sor_coverage(self.ctxT)
+        for diag in diags:
             if diag.severity == ERROR:
                 self._witness(ob, FAILED, loc=diag.loc, message=diag.message)
 

@@ -72,6 +72,10 @@ class LaunchResult:
     #: which engine produced this result ("standard" | "vectorized") —
     #: lets tests prove the vectorized engine's fallback paths fired.
     engine_kind: str = "standard"
+    #: wild global and LDS accesses wrapped under a fault hook (an
+    #: upset-corrupted address); diagnostic only, not part of a trial
+    #: record
+    oob_events: int = 0
 
     @property
     def detected(self) -> bool:
@@ -135,7 +139,6 @@ class Engine:
         self._atomic_free: Dict[int, float] = {}
         self._atomic_line_free: Dict[int, float] = {}
         self._atomic_unit_free = start_time
-        self.oob_events = 0
 
     # -- subclass hooks (see repro.gpu.vectorized) ---------------------
 
@@ -314,6 +317,7 @@ class Engine:
                 self._wave_instrs_done.get(self._ordinal_base + i, 0)
                 for i in range(waves_launched)
             ],
+            oob_events=ctx.oob_events,
         )
 
     # -- request handlers ------------------------------------------------
@@ -373,9 +377,9 @@ class Engine:
                 )
             # Under fault injection a flipped address register may point
             # anywhere; real hardware would issue the wild access.  Model
-            # it as a wrap within the buffer and record the event so
-            # campaigns can classify the run.
-            self.oob_events += 1
+            # it as a wrap within the buffer and count the event on the
+            # launch's result.
+            ctx.oob_events += 1
             req.indices = req.indices % size
             i0, line0, pat = global_pattern(ctx.access_patterns, buf,
                                             req.indices, line_bytes)

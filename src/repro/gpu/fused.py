@@ -28,20 +28,23 @@ Fault injection needs to observe (and corrupt) state *between*
 instructions — but a :class:`~repro.faults.injector.FaultHook` names
 exactly one victim wave and one dynamic trigger watermark, so almost
 all of a hooked launch is provably hook-free.  *Fault-window execution*
-(:func:`_exec_fused_window`, on by default, ``REPRO_FAULT_WINDOW`` to
-disable) exploits that: every wave runs the fused fast path, tracking
-its dynamic instruction count block-at-a-time, and only when a block of
-the victim wave could cross the trigger watermark does execution drop
-to per-instruction stepping — calling the hook exactly where the
-reference interpreter would — before resuming fused blocks.  Non-victim
-waves never leave the fast path and never call the hook (it is a no-op
-for them by construction).  Outcomes, injection records, cycles, and
+(on by default, ``REPRO_FAULT_WINDOW`` to disable) exploits that: every
+wave runs the one fused walker, :func:`_exec_fused`, tracking its
+dynamic instruction count block-at-a-time.  Only the unfired victim
+passes the walker its hook, and only when one of its blocks could cross
+the trigger watermark does execution drop to per-instruction stepping —
+calling the hook exactly where the reference interpreter would — before
+resuming fused blocks.  Outcomes, injection records, cycles, and
 counters are bit-identical to the reference fault path, pinned by
 ``tests/test_fault_window.py``'s seeded identity sweep.  Plain callable
 hooks (no ``supports_window`` attribute) still force the reference
 interpreter.  Bitwise equivalence of the fault-free paths is pinned by
 ``tests/test_fused_equivalence.py`` and guarded in CI by
 ``python -m repro.bench --quick``.
+
+The walker carries a cached all-lanes flag, so all-active blocks and
+memory instructions skip masked writes and lane gathers, and tests
+masks by their bytes instead of numpy reductions (DESIGN.md §19).
 
 Fault-window launches also arm the *livelock proof*
 (:class:`LivelockProof`, DESIGN.md §17): once the upset has fired, a
@@ -82,6 +85,7 @@ from .wavefront import (
     _ALU_FUNCS,
     _CMP_FUNCS,
     _LANES,
+    _NO_LANES,
     _PURE_OPS,
     _SPIN_FLUSH_CYCLES,
     WAVE,
@@ -146,14 +150,6 @@ def fault_window(on: bool):
 # ---------------------------------------------------------------------------
 
 
-def _reg_arr(regs: Dict[int, np.ndarray], rid: int, dt) -> np.ndarray:
-    """Fetch-or-create one lane vector (mirrors ``Wavefront.read``)."""
-    arr = regs.get(rid)
-    if arr is None:
-        arr = regs[rid] = np.zeros(WAVE, dt)
-    return arr
-
-
 #: Binary ALU/predicate opcodes rendered as infix operators in generated
 #: source (everything else calls the shared semantic function table).
 _INFIX_ALU = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^"}
@@ -165,31 +161,40 @@ class FusedBlock:
 
     ``fn(wave, mask)`` performs every register update of the run (masked
     writes, dtype casts, lazy register materialisation) with the same
-    observable semantics as the reference ``_exec_pure`` loop.  Cycle
-    accounting is aggregated per launch context in :meth:`execute`.
+    observable semantics as the reference ``_exec_pure`` loop;
+    ``fn_full`` is its all-lanes-active variant (plain local rebinding
+    with one write-back per register instead of a masked copyto per
+    instruction).  Each is generated on first use: many blocks only
+    ever run under one kind of mask.  Cycle accounting is aggregated
+    per launch context in :meth:`execute`.
     """
 
-    __slots__ = ("instrs", "n", "fn", "fn_full", "label")
+    __slots__ = ("instrs", "n", "_fn", "_fn_full", "label")
 
     def __init__(self, instrs: Sequence[Instr], label: str):
         self.instrs = tuple(instrs)
         self.n = len(self.instrs)
         self.label = label
-        self.fn = _codegen(self.instrs)
-        #: all-lanes-active variant (lazy): plain local rebinding with one
-        #: write-back per register instead of a masked copyto per instr.
-        self.fn_full = None
+        self._fn = self._fn_full = None
 
-    def execute(self, wave: Wavefront, mask: np.ndarray,
-                full: Optional[bool] = None) -> None:
+    @property
+    def fn(self):
+        if self._fn is None:
+            self._fn = _codegen(self.instrs)
+        return self._fn
+
+    @property
+    def fn_full(self):
+        if self._fn_full is None:
+            self._fn_full = _codegen(self.instrs, full_mask=True)
+        return self._fn_full
+
+    def execute(self, wave: Wavefront, mask: np.ndarray, full: bool) -> None:
         wave.dyn_instrs += self.n
-        if mask.all() if full is None else full:
-            fn = self.fn_full
-            if fn is None:
-                fn = self.fn_full = _codegen(self.instrs, full_mask=True)
-            fn(wave, mask)
-        else:
-            self.fn(wave, mask)
+        fn = self._fn_full if full else self._fn
+        if fn is None:
+            fn = self.fn_full if full else self.fn
+        fn(wave, mask)
         costs = wave.ctx.fused_costs
         c = costs.get(id(self))
         if c is None:
@@ -402,7 +407,8 @@ def _codegen(instrs: Sequence[Instr], full_mask: bool = False):
     Register ids enter the source as ``R<n>`` names bound from ``env``,
     never as literals (see :func:`make_closure`).
     """
-    env: Dict[str, object] = {"_cp": np.copyto, "_reg": _reg_arr, "_where": np.where}
+    env: Dict[str, object] = {"_cp": np.copyto, "_zeros": np.zeros,
+                              "_where": np.where}
     reg_names: Dict[int, str] = {}
     reg_dts: Dict[int, str] = {}
     prologue: List[str] = []
@@ -420,10 +426,11 @@ def _codegen(instrs: Sequence[Instr], full_mask: bool = False):
             reg_dts[rid] = dt
             env[dt] = reg.dtype.np_dtype
             env[f"R{n}"] = rid
-            if full_mask:
-                prologue.append(f"    g{nm} = {nm} = _reg(regs, R{n}, {dt})")
-            else:
-                prologue.append(f"    {nm} = _reg(regs, R{n}, {dt})")
+            # Inline fetch-or-create (mirrors ``Wavefront.read``).
+            nms = f"g{nm} = {nm}" if full_mask else nm
+            prologue.append(f"    {nms} = regs.get(R{n})")
+            prologue.append(f"    if {nm} is None: {nms} = regs[R{n}] = "
+                            f"_zeros({WAVE}, {dt})")
         return nm
 
     def emit(dst, expr: str, checked: bool = True) -> None:
@@ -574,27 +581,45 @@ def maybe_lower(kernel: Kernel):
 # ---------------------------------------------------------------------------
 
 
-def _exec_fused(self: Wavefront, items, mask: np.ndarray,
-                full: Optional[bool] = None):
+def _exec_fused(self: Wavefront, items, mask: np.ndarray, full: bool, hook):
     """Lowered-tree twin of ``Wavefront._exec_body`` (timing-identical).
 
-    ``full`` caches ``mask.all()`` so the all-lanes-active block variant
-    is selected without a per-block reduction; it is recomputed only
-    where the mask itself changes (branch splits, loop back-edges).
+    ``full`` caches whether every lane of ``mask`` is active, so blocks
+    and memory instructions take their all-lanes variants without a
+    per-item reduction; it is recomputed only where the mask itself
+    changes (branch splits, loop back-edges).  Masks are 64-byte bool
+    vectors, so emptiness and fullness are byte tests (DESIGN.md §19).
+
+    ``hook`` is the fault hook of an unfired victim wave, else ``None``.
+    With a hook, each :class:`FusedBlock` first asks it for the wave's
+    trigger watermark: a block that completes strictly below it (or any
+    block once ``window()`` is ``None``) runs as one closure; a block
+    that could cross it is stepped with the reference sequence
+    ``dyn_instrs += 1; hook(...); _exec_pure(...)``, so the flip lands
+    at the same dynamic point, against the same register file, as the
+    reference interpreter; its per-instruction charges sum to the
+    block's aggregate cost, so timing is identical either way.
+    Non-pure instructions consult ``self._ihook`` in ``_exec_instr``.
     """
     cfg = self.ctx.config
-    if full is None:
-        full = bool(mask.all())
     for item in items:
         cls = item.__class__
         if cls is FusedBlock:
+            if hook is not None:
+                w = hook.window(self)
+                if w is not None and self.dyn_instrs + item.n >= w:
+                    for ins in item.instrs:
+                        self.dyn_instrs += 1
+                        hook(self, ins)
+                        self._exec_pure(ins, mask)
+                    continue
             item.execute(self, mask, full)
         elif cls is LoweredIf:
             cond = self.read(item.cond)
             then_mask = mask & cond
             inv_mask = mask & ~cond
-            t_any = bool(then_mask.any())
-            i_any = bool(inv_mask.any())
+            t_any = then_mask.tobytes() != _NO_LANES
+            i_any = inv_mask.tobytes() != _NO_LANES
             self._pend.n_branch += 1
             self._pend.valu_cycles += cfg.branch_cycles
             if t_any and i_any:
@@ -602,110 +627,36 @@ def _exec_fused(self: Wavefront, items, mask: np.ndarray,
             if t_any:
                 # then_mask == mask when the else side is empty.
                 yield from self._exec_fused(item.then_items, then_mask,
-                                            full and not i_any)
+                                            full and not i_any, hook)
             if item.has_else and i_any:
                 yield from self._exec_fused(item.else_items, inv_mask,
-                                            full and not t_any)
+                                            full and not t_any, hook)
         elif cls is LoweredWhile:
             live = mask.copy()
             l_full = full
             proof, spin = self.ctx.livelock, None
             while True:
-                yield from self._exec_fused(item.cond_items, live, l_full)
+                yield from self._exec_fused(item.cond_items, live, l_full,
+                                            hook)
                 cond = self.read(item.cond)
                 live &= cond
                 self._pend.n_branch += 1
                 self._pend.valu_cycles += cfg.branch_cycles
-                if not live.any():
+                lanes = live.tobytes()
+                if lanes == _NO_LANES:
                     break
-                l_full = bool(live.all())
-                if not l_full and (full or mask.any()):
+                l_full = 0 not in lanes
+                if not l_full and (full or mask.tobytes() != _NO_LANES):
                     self._pend.n_div_branch += 1
-                yield from self._exec_fused(item.body_items, live, l_full)
+                yield from self._exec_fused(item.body_items, live, l_full,
+                                            hook)
                 if proof is not None:
                     spin = proof.back_edge(self, item, live, spin)
                 if (self._pend.valu_cycles + self._pend.salu_cycles
                         > _SPIN_FLUSH_CYCLES):
                     yield self._flush()
         else:
-            yield from self._exec_instr(item, mask)
-
-
-def _exec_fused_window(self: Wavefront, items, mask: np.ndarray,
-                       full: Optional[bool] = None):
-    """Fault-window twin of ``_exec_fused``.
-
-    Identical control flow, except each :class:`FusedBlock` first asks
-    the fault hook for the wave's trigger watermark.  A block whose
-    instructions all complete strictly below the watermark (or any
-    block on a non-victim / already-fired wave, where ``window()`` is
-    ``None``) runs as one compiled closure; otherwise the block is
-    stepped instruction-by-instruction with the exact reference
-    sequence ``dyn_instrs += 1; hook(...); _exec_pure(...)``, so the
-    flip lands at the same dynamic point, against the same register
-    file, as the reference interpreter.  Per-instruction
-    ``_charge_alu`` calls sum to the same pending-cost aggregates as
-    ``FusedBlock.execute``, so timing is bit-identical either way.
-    Non-pure instructions always take ``_exec_instr``, which consults
-    ``self._ihook`` (the hook on the victim, ``None`` elsewhere).
-    """
-    cfg = self.ctx.config
-    hook = self.ctx.fault_hook
-    if full is None:
-        full = bool(mask.all())
-    for item in items:
-        cls = item.__class__
-        if cls is FusedBlock:
-            w = hook.window(self)
-            if w is None or self.dyn_instrs + item.n < w:
-                item.execute(self, mask, full)
-            else:
-                for ins in item.instrs:
-                    self.dyn_instrs += 1
-                    hook(self, ins)
-                    self._exec_pure(ins, mask)
-        elif cls is LoweredIf:
-            cond = self.read(item.cond)
-            then_mask = mask & cond
-            inv_mask = mask & ~cond
-            t_any = bool(then_mask.any())
-            i_any = bool(inv_mask.any())
-            self._pend.n_branch += 1
-            self._pend.valu_cycles += cfg.branch_cycles
-            if t_any and i_any:
-                self._pend.n_div_branch += 1
-            if t_any:
-                yield from self._exec_fused_window(item.then_items, then_mask,
-                                                   full and not i_any)
-            if item.has_else and i_any:
-                yield from self._exec_fused_window(item.else_items, inv_mask,
-                                                   full and not t_any)
-        elif cls is LoweredWhile:
-            live = mask.copy()
-            l_full = full
-            proof, spin = self.ctx.livelock, None
-            while True:
-                yield from self._exec_fused_window(item.cond_items, live,
-                                                   l_full)
-                cond = self.read(item.cond)
-                live &= cond
-                self._pend.n_branch += 1
-                self._pend.valu_cycles += cfg.branch_cycles
-                if not live.any():
-                    break
-                l_full = bool(live.all())
-                if not l_full and (full or mask.any()):
-                    self._pend.n_div_branch += 1
-                yield from self._exec_fused_window(item.body_items, live,
-                                                   l_full)
-                if proof is not None:
-                    spin = proof.back_edge(self, item, live, spin)
-                if (self._pend.valu_cycles + self._pend.salu_cycles
-                        > _SPIN_FLUSH_CYCLES):
-                    yield self._flush()
-        else:
-            yield from self._exec_instr(item, mask)
+            yield from self._exec_instr(item, mask, full)
 
 
 Wavefront._exec_fused = _exec_fused
-Wavefront._exec_fused_window = _exec_fused_window

@@ -46,6 +46,12 @@ from .memory import DeviceBuffer, bank_passes, lds_pattern
 
 WAVE = 64
 _LANES = np.arange(WAVE)
+#: ``mask.tobytes()`` of an empty exec mask.  Masks are 64-byte bool
+#: vectors, so on ``mask.tobytes()`` ``any`` is ``!= _NO_LANES``,
+#: ``all`` is ``0 not in``, and the active-lane count is
+#: ``WAVE - .count(0)``: exact for any non-zero byte, and far cheaper
+#: than numpy's reductions (DESIGN.md §19).
+_NO_LANES = bytes(WAVE)
 
 #: Side-effect-free instruction classes executed on the interpreter's
 #: fast path (no generator round-trip, timing batched into one ExecReq).
@@ -163,6 +169,8 @@ class LaunchContext:
         #: per-launch memo of vector-access lane analyses, keyed by the
         #: shift-normalised index vector (DESIGN.md §18)
         self.access_patterns: Dict[tuple, object] = {}
+        #: wild global and LDS accesses wrapped under a fault hook
+        self.oob_events = 0
         #: lowered fused program (see :mod:`repro.gpu.fused`), or None to
         #: interpret per-instruction
         self.fused = None
@@ -268,18 +276,17 @@ class Wavefront:
     def run(self):
         """Generator executing the whole kernel body.
 
-        When the launch carries a lowered program (``ctx.fused``) and no
-        fault hook is installed, straight-line pure-op runs execute
-        through the block-fused executors in :mod:`repro.gpu.fused` —
-        bitwise and timing identical, just without per-instruction
-        dispatch.
+        When the launch carries a lowered program (``ctx.fused``),
+        straight-line pure-op runs execute through the block-fused
+        executors in :mod:`repro.gpu.fused` — bitwise and timing
+        identical, just without per-instruction dispatch.
 
         Hooked launches come in two flavours.  A *window-capable* hook
         (``ctx.fault_window``, see :class:`repro.faults.injector
         .FaultHook`) names one victim wave and one trigger watermark, so
-        the wave runs the fused fast path and only drops to
-        per-instruction stepping when a block could cross the victim's
-        watermark (``_exec_fused_window``); non-victim waves never call
+        every wave runs the fused walker; only the unfired victim passes
+        it the hook, and it drops to per-instruction stepping only when
+        a block could cross the watermark.  Non-victim waves never call
         the hook at all.  A plain callable hook needs to observe every
         instruction and keeps the reference interpreter.
 
@@ -289,33 +296,18 @@ class Wavefront:
         """
         ctx = self.ctx
         hook = ctx.fault_hook
-        fused = ctx.fused
-        if hook is not None and ctx.fault_window:
-            # Only the (unfired) victim ever needs hook calls; the
-            # hook is a no-op for every other wave by construction.
-            self._ihook = hook if hook.window(self) is not None else None
-            if fused is not None:
-                if self._ihook is None:
-                    # window(self) is None for good (the victim test
-                    # is pure in the stamped ordinal), so the window
-                    # path would never step: take the plain fast
-                    # path and skip its per-block window probes.
-                    yield from self._exec_fused(fused.items,
-                                                self.active0.copy())
-                else:
-                    yield from self._exec_fused_window(
-                        fused.items, self.active0.copy())
-            else:
-                yield from self._exec_body(ctx.kernel.body,
-                                           self.active0.copy())
+        window = hook is not None and ctx.fault_window
+        if window and hook.window(self) is None:
+            # The hook is a no-op for every wave but the unfired victim
+            # (the victim test is pure in the stamped ordinal).
+            hook = None
+        self._ihook = hook
+        mask = self.active0.copy()
+        if ctx.fused is not None and (hook is None or window):
+            yield from self._exec_fused(ctx.fused.items, mask,
+                                        0 not in mask.tobytes(), hook)
         else:
-            self._ihook = hook
-            if fused is not None and hook is None:
-                yield from self._exec_fused(fused.items,
-                                            self.active0.copy())
-            else:
-                yield from self._exec_body(ctx.kernel.body,
-                                           self.active0.copy())
+            yield from self._exec_body(ctx.kernel.body, mask)
         if self._has_pending():
             yield self._flush()
 
@@ -345,8 +337,8 @@ class Wavefront:
                 cond = self.read(stmt.cond)
                 then_mask = mask & cond
                 inv_mask = mask & ~cond
-                t_any = bool(then_mask.any())
-                i_any = bool(inv_mask.any())
+                t_any = then_mask.tobytes() != _NO_LANES
+                i_any = inv_mask.tobytes() != _NO_LANES
                 self._pend.n_branch += 1
                 self._pend.valu_cycles += cfg.branch_cycles
                 if t_any and i_any:
@@ -363,9 +355,10 @@ class Wavefront:
                     live &= cond
                     self._pend.n_branch += 1
                     self._pend.valu_cycles += cfg.branch_cycles
-                    if not live.any():
+                    lanes = live.tobytes()
+                    if lanes == _NO_LANES:
                         break
-                    if not live.all() and mask.any():
+                    if 0 in lanes and mask.tobytes() != _NO_LANES:
                         self._pend.n_div_branch += 1
                     yield from self._exec_body(stmt.body, live)
                     if (self._pend.valu_cycles + self._pend.salu_cycles
@@ -424,80 +417,104 @@ class Wavefront:
             cache[id(instr)] = arr
         return arr
 
-    def _exec_instr(self, instr: Instr, mask: np.ndarray):
+    def _exec_instr(self, instr: Instr, mask: np.ndarray, full: bool = False):
+        """Execute one non-pure instruction, yielding its requests.
+
+        ``full`` vouches that every lane of ``mask`` is active: operands
+        are then read without ``[mask]`` gathers and results written
+        with one in-place cast, ``dst[:] = data``, which converts
+        exactly like ``out[mask] = data``.  Store and atomic operands
+        may then alias a register: the engine consumes them in
+        ``_do_global`` before this wave resumes.
+        """
         self.dyn_instrs += 1
         hook = self._ihook
         if hook is not None:
             hook(self, instr)
         cls = type(instr)
+        if not (full or cls is Barrier):
+            lanes = WAVE - mask.tobytes().count(0)
+            if not lanes:
+                return
+        else:
+            lanes = WAVE
 
         # Dispatch ordered by dynamic frequency (LDS traffic and barriers
         # dominate the non-pure stream of every LDS-blocked kernel).
         if cls is LoadLocal:
-            if mask.any():
-                arr = self.group.lds[instr.lds.name]
-                idx = self.read(instr.index)[mask].astype(np.int64)
-                idx, passes = self._lds_access(instr.lds.name, arr.size, idx)
-                out = np.zeros(WAVE, dtype=instr.dst.dtype.np_dtype)
-                out[mask] = arr[idx]
-                self.write(instr.dst, out, mask)
-                if self._has_pending():
-                    yield self._flush()
-                yield LdsReq("load", passes, int(mask.sum()))
+            arr = self.group.lds[instr.lds.name]
+            idx = self.read(instr.index)
+            idx = (idx if full else idx[mask]).astype(np.int64)
+            idx, passes = self._lds_access(instr.lds.name, arr.size, idx)
+            self._put(instr.dst, arr[idx], mask, full)
+            if self._has_pending():
+                yield self._flush()
+            yield LdsReq("load", passes, lanes)
         elif cls is StoreLocal:
-            if mask.any():
-                arr = self.group.lds[instr.lds.name]
-                idx = self.read(instr.index)[mask].astype(np.int64)
-                idx, passes = self._lds_access(instr.lds.name, arr.size, idx)
-                arr[idx] = self.read(instr.value)[mask].astype(arr.dtype)
-                if self.ctx.livelock is not None:
-                    self.ctx.livelock.epoch += 1
-                if self._has_pending():
-                    yield self._flush()
-                yield LdsReq("store", passes, int(mask.sum()))
+            arr = self.group.lds[instr.lds.name]
+            idx = self.read(instr.index)
+            idx = (idx if full else idx[mask]).astype(np.int64)
+            idx, passes = self._lds_access(instr.lds.name, arr.size, idx)
+            vals = self.read(instr.value)
+            arr[idx] = (vals if full else vals[mask]).astype(arr.dtype)
+            if self.ctx.livelock is not None:
+                self.ctx.livelock.epoch += 1
+            if self._has_pending():
+                yield self._flush()
+            yield LdsReq("store", passes, lanes)
         elif cls is Barrier:
             if self._has_pending():
                 yield self._flush()
             yield BarrierReq()
         elif cls is LoadGlobal:
-            if mask.any():
-                buf = self.ctx.buffers[instr.buf.name]
-                idx = self.read(instr.index)[mask].astype(np.int64)
-                if self._has_pending():
-                    yield self._flush()
-                op = "sload" if id(instr) in self.ctx.scalar_instrs else "load"
-                data = yield GlobalReq(op, buf, idx)
-                out = np.zeros(WAVE, dtype=instr.dst.dtype.np_dtype)
-                out[mask] = data
-                self.write(instr.dst, out, mask)
+            buf = self.ctx.buffers[instr.buf.name]
+            idx = self.read(instr.index)
+            idx = (idx if full else idx[mask]).astype(np.int64)
+            if self._has_pending():
+                yield self._flush()
+            op = "sload" if id(instr) in self.ctx.scalar_instrs else "load"
+            data = yield GlobalReq(op, buf, idx)
+            self._put(instr.dst, data, mask, full)
         elif cls is StoreGlobal:
-            if mask.any():
-                buf = self.ctx.buffers[instr.buf.name]
-                idx = self.read(instr.index)[mask].astype(np.int64)
-                vals = self.read(instr.value)[mask]
-                if self._has_pending():
-                    yield self._flush()
-                yield GlobalReq("store", buf, idx, vals)
+            buf = self.ctx.buffers[instr.buf.name]
+            idx = self.read(instr.index)
+            idx = (idx if full else idx[mask]).astype(np.int64)
+            vals = self.read(instr.value)
+            if not full:
+                vals = vals[mask]
+            if self._has_pending():
+                yield self._flush()
+            yield GlobalReq("store", buf, idx, vals)
         elif cls is AtomicGlobal:
-            if mask.any():
-                buf = self.ctx.buffers[instr.buf.name]
-                idx = self.read(instr.index)[mask].astype(np.int64)
-                vals = self.read(instr.value)[mask]
-                cmps = None if instr.compare is None else self.read(instr.compare)[mask]
-                if self._has_pending():
-                    yield self._flush()
-                old = yield GlobalReq("atomic", buf, idx, vals, cmps, instr.op)
-                if instr.dst is not None:
-                    out = np.zeros(WAVE, dtype=instr.dst.dtype.np_dtype)
-                    out[mask] = old
-                    self.write(instr.dst, out, mask)
+            buf = self.ctx.buffers[instr.buf.name]
+            idx = self.read(instr.index)
+            idx = (idx if full else idx[mask]).astype(np.int64)
+            vals = self.read(instr.value)
+            cmps = None if instr.compare is None else self.read(instr.compare)
+            if not full:
+                vals = vals[mask]
+                cmps = None if cmps is None else cmps[mask]
+            if self._has_pending():
+                yield self._flush()
+            old = yield GlobalReq("atomic", buf, idx, vals, cmps, instr.op)
+            if instr.dst is not None:
+                self._put(instr.dst, old, mask, full)
         elif cls is ReportError:
-            if mask.any():
-                if self._has_pending():
-                    yield self._flush()
-                yield ErrorReq(instr.code, int(mask.sum()))
+            if self._has_pending():
+                yield self._flush()
+            yield ErrorReq(instr.code, lanes)
         else:  # pragma: no cover
             raise TypeError(f"unknown instruction {instr!r}")
+
+    def _put(self, dst: VReg, data: np.ndarray, mask: np.ndarray,
+             full: bool) -> None:
+        """Write active-lane ``data`` into ``dst``, cast to its dtype."""
+        if full:
+            self.read(dst)[:] = data
+        else:
+            out = np.zeros(WAVE, dtype=dst.dtype.np_dtype)
+            out[mask] = data
+            self.write(dst, out, mask)
 
     def _charge_alu(self, instr: Instr, in_trans: bool = False) -> None:
         cfg = self.ctx.config
@@ -548,6 +565,7 @@ class Wavefront:
                 )
             # Wild LDS access caused by an injected upset: wrap it the
             # way the hardware's address masking would.
+            ctx.oob_events += 1
             idx = idx % size
             i0, pat = lds_pattern(memo, idx, banks)
         if pat.passes is None:
