@@ -28,14 +28,22 @@ executor (:mod:`repro.gpu.fused`) asks each wave for its trigger
 watermark and only drops to per-instruction stepping when a fused
 block could cross it; non-victim waves always get ``None`` and never
 leave the block-fused fast path.
+
+:class:`ReadHorizon` proves a register flip dead: when the launch
+context is armed for it, a flip into a register no instruction reads
+again raises :class:`~repro.gpu.engine.UpsetMasked` and the device
+finishes the launch from its golden tape entry (DESIGN.md §20).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Sequence, Set
 
 import numpy as np
+
+from ..gpu.engine import UpsetMasked
+from ..ir.core import If, Kernel, Stmt, While
 
 TARGETS = ("vgpr", "sgpr", "lds")
 
@@ -71,6 +79,70 @@ class InjectionRecord:
     fired: bool = False
     description: str = ""
     bucket: int = -1
+
+
+class ReadHorizon:
+    """Where each register is read for the last time (DESIGN.md §20).
+
+    One walk numbers the statements of a kernel body in SIMT execution
+    order: an ``If``'s condition, its then-arm, then its else-arm (a
+    wave runs both arms, so the else-arm lies in the then-arm's
+    future); a ``While``'s condition block, its condition, then its
+    body.  ``last_read`` maps a register id to its last read position
+    (``If``/``While`` conditions count as reads), ``start`` an
+    instruction id to its own position, or to the first position of
+    its outermost enclosing ``While``, whose every position the wave
+    may reach again.  Writes never kill: a masked write leaves the
+    inactive lanes' values in place.
+    """
+
+    __slots__ = ("start", "last_read", "_pos")
+
+    def __init__(self, body: Sequence[Stmt]):
+        self.start: Dict[int, int] = {}
+        self.last_read: Dict[int, int] = {}
+        self._pos = 0
+        self._walk(body, None)
+
+    def _walk(self, body: Sequence[Stmt], loop: Optional[int]) -> None:
+        start, last = self.start, self.last_read
+        for stmt in body:
+            cls = stmt.__class__
+            if cls is If:
+                last[id(stmt.cond)] = self._pos
+                self._pos += 1
+                self._walk(stmt.then_body, loop)
+                self._walk(stmt.else_body, loop)
+            elif cls is While:
+                outer = self._pos if loop is None else loop
+                self._walk(stmt.cond_block, outer)
+                last[id(stmt.cond)] = self._pos
+                self._pos += 1
+                self._walk(stmt.body, outer)
+            else:
+                pos = self._pos
+                self._pos += 1
+                # An instruction object placed twice keeps its earliest
+                # start: an earlier start is the more conservative one.
+                at = pos if loop is None else loop
+                if start.get(id(stmt), at) >= at:
+                    start[id(stmt)] = at
+                for src in stmt.sources():
+                    last[id(src)] = pos
+
+    def dead(self, rid: int, instr) -> bool:
+        """True when no read of register ``rid`` can follow the moment
+        just before ``instr`` executes (unknown instructions: never)."""
+        return self.last_read.get(rid, -1) < self.start.get(id(instr), -1)
+
+
+def read_horizon(kernel: Kernel) -> ReadHorizon:
+    """The :class:`ReadHorizon` of ``kernel``, memoized on the instance
+    the way :func:`repro.gpu.fused.lower_kernel` memoizes its lowering."""
+    cached = getattr(kernel, "_read_horizon", None)
+    if cached is None:
+        cached = kernel._read_horizon = ReadHorizon(kernel.body)
+    return cached
 
 
 class FaultHook:
@@ -172,6 +244,11 @@ class FaultHook:
             f"{plan.target} flip bit {plan.bit} wave {plan.wave_ordinal} "
             f"@instr {plan.trigger_instr}"
         )
+        # An operand of ``instr`` is always live; a fallback victim may
+        # never be read again, and then the launch is the golden one.
+        ctx = wave.ctx
+        if ctx.dead_upset and read_horizon(ctx.kernel).dead(rid, instr):
+            raise UpsetMasked(self.record.description)
 
     def _flip_lds(self, wave) -> None:
         plan = self.plan

@@ -8,7 +8,8 @@ matching real hardware behaviour; time accumulates across launches.
 A device can also record its launches on a :class:`LaunchTape` and,
 on another device, replay a recorded launch instead of simulating it
 when the device state and arguments are exactly the recorded ones
-(DESIGN.md §16).
+(DESIGN.md §16), or finish one from the tape once its fault upset is
+proven dead (DESIGN.md §20).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from ..ir.core import Kernel
 from .config import DEFAULT_POWER, GpuConfig, HD7790, PowerConfig
 from .counters import KernelCounters, merge_counters
-from .engine import Engine, LaunchResult, SimulationError
+from .engine import Engine, LaunchResult, SimulationError, UpsetMasked
 from .memory import CacheModel, CacheState, DeviceBuffer, GlobalMemory
 from .occupancy import KernelResources, compute_occupancy
 from .fused import LivelockProof, fault_window_enabled, maybe_lower
@@ -181,28 +182,27 @@ class Device:
         return [*self.l1s, self.l2]
 
     def _replayable(self, args: tuple, fault_hook, scheduler) -> Optional[TapeEntry]:
-        """The tape entry this launch may replay, or ``None``.
+        """The tape entry this launch starts from the state of, or ``None``.
 
-        Replay is sound only when the launch is a deterministic function
-        of exactly the recorded state: same state and arguments, the
-        default scheduler, a hook that cannot fire during the launch,
-        and a watchdog that the recorded launch did not reach.
+        The launch is then a deterministic function of exactly the
+        recorded state: same state and arguments, the default
+        scheduler, a watchdog that the recorded launch did not reach,
+        and no hook or one with the window API (:meth:`launch` tests
+        whether it can fire).  Plain callable hooks observe every
+        instruction and never match.
         """
         tape = self.replaying
         k = self.stats.launches
         if (scheduler is not None or k >= len(tape.entries)
-                or not fault_window_enabled()):
+                or not fault_window_enabled()
+                or (fault_hook is not None
+                    and not getattr(fault_hook, "supports_window", False))):
             return None
         entry = tape.entries[k]
         if (entry is None or entry.clock != self.clock
                 or entry.ordinal_base != self._wave_ordinals):
             return None
         result = entry.result
-        if fault_hook is not None:
-            inert = getattr(fault_hook, "inert", None)
-            if inert is None or not inert(entry.ordinal_base,
-                                          result.waves_launched):
-                return None
         # The engine's watchdog trips on an event later than max_cycles;
         # the recorded launch's last event is at clock + cycles (the
         # extra cycle absorbs float rounding of that sum).
@@ -225,7 +225,7 @@ class Device:
                 return None
         return entry
 
-    def _replay(self, entry: TapeEntry) -> LaunchResult:
+    def _replay(self, entry: TapeEntry, kind: str = "replayed") -> LaunchResult:
         """Apply a recorded launch's effects without simulating it."""
         for name, image in entry.post_buffers.items():
             np.copyto(self.memory.buffers[name].data, image)
@@ -234,7 +234,7 @@ class Device:
         # The counters are shared with the tape: no caller mutates a
         # finished launch's counters.
         recorded = entry.result
-        return replace(recorded, engine_kind="replayed",
+        return replace(recorded, engine_kind=kind,
                        detections=list(recorded.detections),
                        wave_instrs=list(recorded.wave_instrs))
 
@@ -267,7 +267,11 @@ class Device:
         for the engine's default time-ordered/FIFO event order.  While a
         tape is being replayed (:meth:`replay_from`) a launch whose state
         equals the recorded one returns the recorded result, marked
-        ``engine_kind="replayed"``, instead of running the engine.
+        ``engine_kind="replayed"``, instead of running the engine.  When
+        only the fault hook can still fire, the launch runs armed: an
+        upset that lands in a register no instruction reads again stops
+        it, and the recorded launch finishes it, marked
+        ``engine_kind="dead-upset"`` (DESIGN.md §20).
         """
         if resources is None:
             resources = KernelResources(
@@ -285,18 +289,27 @@ class Device:
                     tuple(sorted((p, buf.name) for p, buf in buffers.items())),
                     _scalar_key(scalars or {}), resources, scalar_instrs,
                 )
+        finish = None
         if args is not None and self.replaying is not None:
             entry = self._replayable(args, fault_hook, scheduler)
             if entry is not None:
-                return self._finish(self._replay(entry))
+                if fault_hook is None or fault_hook.inert(
+                        entry.ordinal_base, entry.result.waves_launched):
+                    return self._finish(self._replay(entry))
+                finish = entry
         tape = self.recording
         pre = None
         if (tape is not None and args is not None
                 and fault_hook is None and scheduler is None):
             pre = tape.capture(self, args)
-        result = self._simulate(kernel, global_size, local_size, buffers,
-                                scalars, resources, scalar_instrs,
-                                fault_hook, scheduler)
+        try:
+            result = self._simulate(kernel, global_size, local_size, buffers,
+                                    scalars, resources, scalar_instrs,
+                                    fault_hook, scheduler, finish is not None)
+        except UpsetMasked:
+            # The rest of the launch is the recorded one: restoring its
+            # post-image discards the partial simulation's writes.
+            return self._finish(self._replay(finish, "dead-upset"))
         if tape is not None:
             tape.append(pre, self, buffers, result)
         return self._finish(result)
@@ -310,7 +323,8 @@ class Device:
         return result
 
     def _simulate(self, kernel, global_size, local_size, buffers, scalars,
-                  resources, scalar_instrs, fault_hook, scheduler) -> LaunchResult:
+                  resources, scalar_instrs, fault_hook, scheduler,
+                  dead_upset=False) -> LaunchResult:
         """Run one launch through the timing engine."""
         ctx = LaunchContext(
             kernel=kernel,
@@ -333,6 +347,7 @@ class Device:
         )
         if fault_hook is not None:
             ctx.fault_hook = fault_hook
+            ctx.dead_upset = dead_upset
         if fault_hook is None or windowable:
             # Lowered once per kernel instance and memoized on it.
             ctx.fused = maybe_lower(kernel)

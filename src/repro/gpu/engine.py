@@ -54,6 +54,17 @@ class SimulationError(Exception):
     engine_kind: str = ""
 
 
+class UpsetMasked(Exception):
+    """The fault hook flipped a register no instruction reads again.
+
+    Raised by :class:`~repro.faults.injector.FaultHook` only in a launch
+    the device armed for it (``LaunchContext.dead_upset``): the device
+    then finishes the launch from the recorded golden launch instead of
+    simulating the rest (DESIGN.md §20).  Not a
+    :class:`SimulationError`: nothing went wrong.
+    """
+
+
 @dataclass
 class LaunchResult:
     """Outcome of a single kernel launch."""
@@ -163,8 +174,27 @@ class Engine:
         # and a generator abandoned by an aborted launch would reset it
         # from a GC finalizer, which can land inside another ``errstate``
         # entry and segfault CPython 3.11.
+        self._live: set = set()
         with np.errstate(all="ignore"):
-            return self._run(ctx, resources)
+            try:
+                return self._run(ctx, resources)
+            except BaseException:
+                self._abandon(ctx)
+                raise
+
+    def _abandon(self, ctx: LaunchContext) -> None:
+        """Break the reference cycles of an aborted launch's waves.
+
+        A suspended wave and its generator reference each other, as do a
+        parked wave and its group's barrier list, and a stuck wave and
+        the livelock proof on its context: without these breaks only
+        the cyclic garbage collector could free the launch.
+        """
+        for wave in self._live:
+            wave.gen = None
+            wave.group.barrier_waiting = []
+        if ctx.livelock is not None:
+            ctx.livelock.stuck = set()
 
     def _run(self, ctx: LaunchContext, resources: KernelResources) -> LaunchResult:
         cfg = self.config
@@ -187,6 +217,7 @@ class Engine:
         groups_launched = 0
         parked = 0  # waves waiting at a barrier
         proof = ctx.livelock
+        live = self._live
         detections: List[Tuple[float, int, int]] = []
 
         def dispatch(cu_idx: int, when: float) -> None:
@@ -198,6 +229,7 @@ class Engine:
             groups_launched += 1
             for w in range(group.n_waves):
                 wave = self._spawn_wave(ctx, group, w)
+                live.add(wave)
                 wave.cu = cu_idx
                 simd = min(range(cfg.simds_per_cu), key=lambda s: cu.simd_waves[s])
                 cu.simd_waves[simd] += 1
@@ -243,6 +275,7 @@ class Engine:
                 # of waiting for a gc pass — campaigns churn thousands of
                 # launches and the cycle collector pauses were measurable.
                 wave.gen = None
+                live.discard(wave)
                 group = wave.group
                 cu = cus[wave.cu]
                 cu.simd_waves[wave.simd] -= 1

@@ -652,6 +652,17 @@ class VecEngine(Engine):
         wave.gen = _VecDriver(wave)
         return wave
 
+    def _abandon(self, ctx) -> None:
+        super()._abandon(ctx)
+        # A VecWave's walker is a second wave <-> generator cycle, and
+        # staged continuations reach back from the coordinator.
+        for wave in self._live:
+            if isinstance(wave, VecWave):
+                wave._walker = None
+        coord = getattr(self, "_coord", None)
+        if coord is not None:
+            coord.staged = []
+
     def run(self, ctx, resources):
         hook = ctx.fault_hook
         if hook is not None and not ctx.fault_window:

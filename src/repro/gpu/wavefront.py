@@ -164,6 +164,10 @@ class LaunchContext:
         #: the livelock proof of a fault-window launch
         #: (:class:`repro.gpu.fused.LivelockProof`), or None when unarmed
         self.livelock = None
+        #: True when the device can finish this launch from its golden
+        #: tape entry: a register upset that no instruction reads again
+        #: then raises :class:`repro.gpu.engine.UpsetMasked` (DESIGN.md §20)
+        self.dead_upset: bool = False
         #: per-launch cache of broadcast immediates (shared by all waves)
         self.broadcast_cache: Dict[int, np.ndarray] = {}
         #: per-launch memo of vector-access lane analyses, keyed by the

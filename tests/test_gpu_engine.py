@@ -276,6 +276,60 @@ class TestWatchdog:
         assert proc.stdout.strip() == "ok"
 
 
+    @pytest.mark.parametrize("path", ["watchdog", "vectorized", "livelock"])
+    def test_aborted_launch_frees_waves_by_refcount(self, path, monkeypatch):
+        """Wave 1 parks at a barrier wave 0 never reaches, and wave 0
+        spins forever.  Once the error is caught no reference cycle may
+        keep a wave alive: suspended generators, barrier lists and the
+        livelock proof's stuck set are all dropped on the way out."""
+        import gc
+        import weakref
+
+        from repro.faults.injector import FaultHook, FaultPlan
+        from repro.gpu import fused, vectorized
+        from repro.gpu.wavefront import Wavefront
+
+        b = KernelBuilder("k")
+        flag = b.buffer_param("flag", DType.U32)
+        b.add(b.const(7, DType.U32), 1)
+        with b.if_(b.ge(b.local_id(0), 64)):
+            b.barrier()
+        with b.loop() as lp:
+            lp.break_unless(b.eq(b.atomic("add", flag, 0, 0), 0))
+        spin = b.finish()
+
+        waves = []
+        init = Wavefront.__init__
+
+        def record(self, *args):
+            init(self, *args)
+            waves.append(weakref.ref(self))
+
+        monkeypatch.setattr(Wavefront, "__init__", record)
+        hook = None
+        if path == "livelock":
+            hook = FaultHook(FaultPlan("vgpr", 0, 2, 3, 5, 0))
+        gc.collect()
+        gc.disable()
+        try:
+            dev = Device(HD7790.with_(max_cycles=20_000))
+            fb = dev.alloc_zeros("flag", 1, np.uint32)
+            with vectorized.vector(path == "vectorized"), \
+                    fused.fault_window(True):
+                try:
+                    dev.launch(spin, 128, 128, {"flag": fb},
+                               fault_hook=hook)
+                except SimulationError as err:
+                    assert str(err).startswith(
+                        "livelock" if path == "livelock" else "watchdog")
+                else:
+                    pytest.fail("the launch should hang")
+            assert len(waves) == 2
+            assert [w() for w in waves] == [None, None]
+        finally:
+            gc.enable()
+
+
 class TestSchedulingAccounting:
     def test_groups_and_waves_counted(self):
         k = _streaming_kernel()
